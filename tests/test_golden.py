@@ -1,0 +1,74 @@
+"""Golden CLI outputs: sha256 of stdout for a fixed matrix of configs.
+
+The hashes were recorded from the scalar, per-seed implementation of
+the tower walks, before the array walks replaced it; every later change
+must keep these outputs byte for byte.  GF(17^4) (83 521 elements) is
+the first field of the matrix too large for the old 2^16 table cutoff.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from drintower.cli import main
+
+GOLDEN = [
+    (('verify', '--q', '2'),
+     "5bdf550b822e1b62c2c8274d771061c064062920c7d6b522cc1559896d73cef8"),
+    (('verify', '--q', '3'),
+     "3f7560411f0f59b788e0c9f17164af0526cdd8aaf48838db2bb94fc5c349d088"),
+    (('enumerate', '--q', '2', '--n', '3', '--ext', '2'),
+     "1c771a83af2c6eabd56384d632bc0b514d4fe5929a1952be7abfe0d150d840a1"),
+    (('enumerate', '--q', '2', '--n', '3', '--ext', '2', '--format', 'csv'),
+     "0c87cb648573300ab49aed2ce82883d0dcdebf29afbff4d90d1d6a5f746fc819"),
+    (('enumerate', '--q', '2', '--n', '3', '--ext', '2', '--variant', 'x0'),
+     "c73a9ad404978ba97cf904b1e3717b0b3808ada2cb540aecab4e86ec380dd5c1"),
+    (('enumerate', '--q', '2', '--n', '3', '--ext', '2', '--variant', 'x0',
+      '--supersingular-only'),
+     "c628697ba2e3f71ba6d6813ffab4bd44c7cb612121e2d126d1f0c9d7e5f2d1e9"),
+    (('count', '--q', '2', '--n', '3', '--ext', '1..3'),
+     "84aec6b45915f2189ab76680d8af62a3f4044a5e17708f288e0fb876493ad96f"),
+    (('count', '--q', '2', '--n', '3', '--ext', '1..3', '--variant', 'x0'),
+     "fc30923c8f98c87225ca9478db8970043bbe8247d07ae73bc82f629b2e8dfef7"),
+    (('zeta', '--q', '2', '--n', '2', '--genus', '1', '--ext', '1..4'),
+     "c640c4479d87c8ed945c8ec0cf0c14bbbce8e86607b3f3edf90ec6e02b199991"),
+    (('zeta', '--q', '2', '--n', '2', '--genus', '1', '--ext', '1..4',
+      '--format', 'csv'),
+     "25cb8a74ce97261e0cd6cd335fad6128097ad8d417a674581aa96682c6d3cb23"),
+    (('enumerate', '--q', '2', '--n', '2', '--ext', '2',
+      '--modulus', '2^4/1,1,0,0,1'),
+     "933d19d5d3e9eaeb1ea287a6f0fbf35a7ad918ae5b9926b2703dff2fe655f9e4"),
+    (('enumerate', '--q', '2', '--n', '3', '--ext', '2',
+      '--modulus', '2^4/1,0,0,1,1'),
+     "0f13d34f56856c5341f9e137b80fffd534fa2343a2c001ef170385a43f222c32"),
+    (('count', '--q', '4', '--n', '3', '--variant', 'x0', '--ext', '1..2',
+      '--modulus', '2^8/1,0,1,1,0,0,0,1,1'),
+     "064be4b75b6f23a8eb859b98e001d3bde1b3b33073b3308d235526670d19b714"),
+    (('count', '--q', '3', '--n', '3', '--ext', '1..2'),
+     "695575b69bd5d0089df082cfa9be2e9b3e91ed23bb3f613728b72f6e87452f29"),
+    (('enumerate', '--q', '3', '--n', '3', '--ext', '1', '--variant', 'x0',
+      '--format', 'csv'),
+     "11dfa3056861cb70be8a0c3993cfe1a39a5d04e4a7d8a266fa018ac1a9d05241"),
+    (('enumerate', '--q', '4', '--n', '3', '--ext', '2'),
+     "9ebc8d6b48ff15b452877c2fda27014fd42110b5509011b138cafbdff7d3ab1c"),
+    (('enumerate', '--q', '3', '--n', '3', '--ext', '2', '--format', 'csv'),
+     "16f945d4c075ab7b2ed878d99a91f283dec28a13860b1ca22982536ef74a889c"),
+    (('count', '--q', '2', '--n', '4', '--variant', 'x0', '--ext', '1..4'),
+     "d21bf810e71e4797d12512f23cb1d7e9d442f56b7048d931cd417414fcf91302"),
+    (('count', '--q', '5', '--n', '3', '--variant', 'x0', '--ext', '1'),
+     "7825098a25d2279ba01bb35f15b9a75c5c9b36c4bcce1cd902e0c341d2f6dfa7"),
+    (('enumerate', '--q', '17', '--n', '2', '--ext', '2'),
+     "a1ad99453b03cf6168e023438ec1b12626a4605a98bbce5262455e4668bc06c5"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_cli_stdout_matches_golden_hash(argv, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
