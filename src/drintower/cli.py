@@ -8,7 +8,8 @@ keys mirror the long flag names.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 field-size cap exceeded.  Identical configuration produces
-byte-identical output, whatever the worker count.
+byte-identical output.  --workers is accepted for compatibility and
+ignored: the whole-field walks run as array code in one thread.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class RunConfig:
         return FieldContext(cap=self.cap, moduli=self.moduli)
 
     def echo(self) -> dict:
-        # workers is deliberately absent: reports must be byte-identical
-        # whatever the worker count
+        # workers is deliberately absent: it is ignored, and reports must
+        # be byte-identical whatever its value
         return {
             "q": self.q, "n": self.n, "variant": self.variant,
             "ext": f"{self.m_first}..{self.m_last}",
@@ -282,7 +283,7 @@ def _suite_shift(q, points):
     return cases, failures
 
 
-def _suite_z_recursion(q, points, k1, workers):
+def _suite_z_recursion(q, points, k1):
     one = k1.one()
     cases = 0
     failures = []
@@ -293,8 +294,8 @@ def _suite_z_recursion(q, points, k1, workers):
             if zb * (one + zb) ** (q - 1) != \
                     za.frobenius(q) / (one + za) ** (q - 1):
                 failures.append({"point": pt.serialize()})
-    # the X0Point constructor revalidates the recursion on every tuple
-    cases += len(enumerate_x0(q, 3, k1, workers=workers))
+    # enumerate_x0 checks the recursion on every tuple it returns
+    cases += len(enumerate_x0(q, 3, k1))
     return cases, failures
 
 
@@ -328,13 +329,13 @@ def _suite_action(q, points, k1):
     return cases, failures
 
 
-def identity_suite(q: int, ctx: FieldContext, workers: int = 1) -> list:
+def identity_suite(q: int, ctx: FieldContext) -> list:
     """Exhaustive identity checks for one q; returns machine-readable
     records, one per identity."""
     p, r = prime_power(q)
     k1 = ctx.extension_of_k1(q, 1)
     big = ctx.field(p, 4 * r)
-    points = enumerate_xprime(q, 3, k1, workers=workers)
+    points = enumerate_xprime(q, 3, k1)
 
     records = []
     for name, (cases, failures) in (
@@ -343,7 +344,7 @@ def identity_suite(q: int, ctx: FieldContext, workers: int = 1) -> list:
          _suite_reverse_factorizations(q, big)),
         ("consecutive_swap_identity", _suite_swap(q, points)),
         ("quotient_torsion_shifts", _suite_shift(q, points)),
-        ("z_recursion", _suite_z_recursion(q, points, k1, workers)),
+        ("z_recursion", _suite_z_recursion(q, points, k1)),
         ("supersingular_z_set_triple", _suite_z_set(q, k1)),
         ("scaling_action", _suite_action(q, points, k1)),
     ):
@@ -359,7 +360,7 @@ def identity_suite(q: int, ctx: FieldContext, workers: int = 1) -> list:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     ctx = cfg.context()
-    records = identity_suite(cfg.q, ctx, workers=cfg.workers)
+    records = identity_suite(cfg.q, ctx)
     meta = _meta(cfg, "verify", ctx)
     ok = all(rec["passed"] for rec in records)
     if cfg.format == "json":
@@ -380,9 +381,9 @@ def _cmd_enumerate(cfg: RunConfig) -> int:
     if cfg.m_first != cfg.m_last:
         raise UsageError("enumerate takes a single extension, not a range")
     if cfg.variant == "xprime":
-        pts = enumerate_xprime(cfg.q, cfg.n, L, workers=cfg.workers)
+        pts = enumerate_xprime(cfg.q, cfg.n, L)
     else:
-        pts = enumerate_x0(cfg.q, cfg.n, L, workers=cfg.workers)
+        pts = enumerate_x0(cfg.q, cfg.n, L)
     if cfg.supersingular_only:
         pts = [pt for pt in pts if pt.is_supersingular()]
     meta = _meta(cfg, "enumerate", ctx)
@@ -406,7 +407,7 @@ def _cmd_enumerate(cfg: RunConfig) -> int:
 def _cmd_count(cfg: RunConfig) -> int:
     ctx = cfg.context()
     report = count_points(cfg.q, cfg.n, cfg.variant, cfg.m_first,
-                          cfg.m_last, ctx=ctx, workers=cfg.workers)
+                          cfg.m_last, ctx=ctx)
     meta = _meta(cfg, "count", ctx)
     if cfg.format == "json":
         payload = {"meta": _json_meta(meta), "report": report.to_json_dict()}
@@ -422,6 +423,12 @@ def _cmd_count(cfg: RunConfig) -> int:
 def _cmd_zeta(cfg: RunConfig) -> int:
     if cfg.genus is None:
         raise UsageError("zeta requires --genus")
+    if cfg.genus < 0:
+        raise UsageError("genus must be nonnegative")
+    n_counts = cfg.m_last - cfg.m_first + 1
+    if n_counts < cfg.genus:
+        raise UsageError(f"genus {cfg.genus} needs at least {cfg.genus} "
+                         f"counts; --ext gives {n_counts}")
     if cfg.n != 2:
         raise UsageError(
             "zeta is wired to the quadratic level (n = 2), the only one "
@@ -466,7 +473,8 @@ def _add_common_flags(sub: argparse.ArgumentParser):
                      help="externally supplied genus (zeta)")
     sub.add_argument("--supersingular-only", action="store_true",
                      dest="supersingular_only")
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=None,
+                     help="accepted and ignored (must be at least 1)")
     sub.add_argument("--cap", type=int, default=None,
                      help="field size cap")
     sub.add_argument("--modulus", action="append", default=None,

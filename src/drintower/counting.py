@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy
-
 from .finite_field import (
     DEFAULT_CAP,
     FieldSpec,
@@ -32,7 +30,13 @@ from .finite_field import (
     prime_power,
 )
 from .linearized import LinearizedPoly, _solver_for
-from .tower import degenerate_z_skips, enumerate_x0, enumerate_xprime
+from .tower import (
+    degenerate_z_skips,
+    enumerate_x0,
+    enumerate_xprime,
+    x0_columns,
+    xprime_columns,
+)
 
 
 class FieldContext:
@@ -119,12 +123,12 @@ class CountReport:
 
 def count_points(q: int, n: int, variant: str, m_first: int = 1,
                  m_last: Optional[int] = None,
-                 ctx: Optional[FieldContext] = None,
-                 workers: int = 1) -> CountReport:
+                 ctx: Optional[FieldContext] = None) -> CountReport:
     """Enumerate the chosen tower over GF(q^2), ..., GF(q^(2*m_last)).
 
     The supersingular tally is always taken over GF(q^2) regardless of
-    the extension range.
+    the extension range.  The rows count coordinate columns, without
+    building point objects.
     """
     if variant not in ("xprime", "x0"):
         raise ValueError(f"unknown tower variant {variant!r}")
@@ -133,16 +137,19 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
     if not 1 <= m_first <= m_last:
         raise ValueError("need 1 <= m_first <= m_last")
     ctx = ctx or FieldContext()
-    enum = enumerate_xprime if variant == "xprime" else enumerate_x0
+    if variant == "xprime":
+        enum, columns = enumerate_xprime, xprime_columns
+    else:
+        enum, columns = enumerate_x0, x0_columns
+    k1 = ctx.extension_of_k1(q, 1)
+    ss = sum(1 for p in enum(q, n, k1) if p.is_supersingular())
+    # right after enumerate_x0 over the same field, this reuses its walk
+    skipped = degenerate_z_skips(q, n, k1) if variant == "x0" else None
     rows = []
     for m in range(m_first, m_last + 1):
         L = ctx.extension_of_k1(q, m)
-        pts = enum(q, n, L, workers=workers)
-        rows.append(ExtensionCount(m, L.serialize(), L.size, len(pts)))
-    k1 = ctx.extension_of_k1(q, 1)
-    ss = sum(1 for p in enum(q, n, k1, workers=workers)
-             if p.is_supersingular())
-    skipped = degenerate_z_skips(q, n, k1) if variant == "x0" else None
+        count = len(columns(q, n, L)[0])
+        rows.append(ExtensionCount(m, L.serialize(), L.size, count))
     return CountReport(q, n, variant, tuple(rows), ss,
                        degenerate_z_skipped=skipped)
 
@@ -154,18 +161,17 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
 def hermitian_affine_count(q: int, m: int = 1,
                            ctx: Optional[FieldContext] = None) -> int:
     """Points of z^q + z = x^(q+1) over the size-q^(2m) field, zeros
-    included, counted by a per-x linear solvability test."""
+    included, counted by a linear solvability test on every x at once."""
+    import numpy as np
     ctx = ctx or FieldContext()
     L = ctx.extension_of_k1(q, m)
+    L.tables()  # before anything of field size is allocated
     trace = LinearizedPoly.from_ints(q, L, [1, 1])
     solver = _solver_for(trace, L)
     fiber = q  # solvable fibers are cosets of the kernel, which is full here
-    total = 0
-    for x in L.elements():
-        c = x ** (q + 1)
-        if solver.solve(list(c.coeffs)) is not None:
-            total += fiber
-    return total
+    x = np.arange(L.size, dtype=np.int64)
+    solvable = solver.consistent_ints(L.power_product((x, q + 1)))
+    return fiber * int(np.count_nonzero(solvable))
 
 
 def hermitian_affine_count_bruteforce(q: int, m: int = 1,
@@ -338,6 +344,7 @@ def zeta_consistency(projective_counts: list, genus: int,
     if genus == 0:
         weil = 0.0
     else:
+        import numpy
         coeffs = [float(a[m]) for m in range(deg, -1, -1)]
         roots = numpy.roots(coeffs)
         weil = float(max(abs(abs(1.0 / r) - q1**0.5) for r in roots))

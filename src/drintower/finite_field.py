@@ -21,10 +21,24 @@ exists so that full enumeration stays feasible where the library uses
 it; kernel and preimage computations elsewhere go through GF(p) linear
 algebra and never enumerate large fields.
 
-Fields up to 2**16 elements switch to discrete-log multiplication
-tables once they have seen enough products to amortize the build.  The
-table path returns bit-identical results to the generic convolution
-path; a test compares the two exhaustively.
+Discrete-log tables.  A field can carry exp/log tables: two int32
+numpy arrays indexed by the integer encoding, exp[i] = g^i for a
+primitive g and log[exp[i]] = i.  They cost 8 bytes per element, so
+TABLE_BUDGET = 2**24 elements is 128 MB.  Constructing a field builds
+no table and does not import numpy.  Tables are built on first need:
+by the first scalar product, inverse or power in a field of at most
+SCALAR_TABLE_LIMIT = 2**16 elements, and by the whole-field array walks
+of the tower and counting modules at any size up to TABLE_BUDGET; a
+walk over a larger field raises CapExceededError before allocating.
+Scalar operations in larger fields without tables take the schoolbook
+path, which stays the reference the table path is tested against
+(results are bit-identical).
+
+The array helpers below work on numpy arrays of integer encodings:
+multiplicative monomials through the tables, addition digit by digit
+(XOR for p = 2), and GF(p)-linear maps, among them GFpSolver over many
+right-hand sides at once, on base-p digit matrices processed in
+bounded chunks (for p = 2, by 256-entry tables per 8-bit slice).
 """
 
 from __future__ import annotations
@@ -33,6 +47,10 @@ import functools
 from typing import Iterator, Optional, Sequence
 
 DEFAULT_CAP = 2**24
+TABLE_BUDGET = 2**24
+SCALAR_TABLE_LIMIT = 2**16
+# rows of a base-p digit matrix held at once by the array helpers
+_CHUNK = 2**14
 
 
 class CapExceededError(RuntimeError):
@@ -252,6 +270,65 @@ def prime_power(q: int) -> Optional[tuple]:
     return (p, r) if q == 1 else None
 
 
+def _encode(coeffs: Sequence[int], p: int) -> int:
+    """The integer encoding sum(c_i * p^i) of a base-p digit vector."""
+    n = 0
+    for c in reversed(coeffs):
+        n = n * p + c
+    return n
+
+
+def _digits(vals, p: int, width: int):
+    """Base-p digit matrix (len(vals), width) of an int64 array."""
+    import numpy as np
+    return vals[:, None] // p ** np.arange(width, dtype=np.int64) % p
+
+
+def _digit_chunks(vals, p: int, width: int):
+    """(rows, digit matrix) pairs covering vals, _CHUNK rows at a time, so
+    no (len(vals), width) int64 matrix is ever held whole."""
+    for start in range(0, len(vals), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        yield rows, _digits(vals[rows], p, width)
+
+
+def _digit_tuples(vals, p: int, width: int) -> list:
+    """Coefficient tuples of a sequence of encodings."""
+    import numpy as np
+    vals = np.asarray(vals, dtype=np.int64)
+    out: list = []
+    for _, digits in _digit_chunks(vals, p, width):
+        out.extend(map(tuple, digits.tolist()))
+    return out
+
+
+def gfp_apply(mat, p: int, vals):
+    """mat @ v over GF(p) for every v in vals.
+
+    Vectors are in the integer encoding: vals holds len(mat[0])-digit
+    inputs and the result len(mat)-digit outputs.
+    """
+    import numpy as np
+    vals = np.asarray(vals, dtype=np.int64)
+    mat = np.asarray(mat, dtype=np.int64) % p
+    weights = p ** np.arange(mat.shape[0], dtype=np.int64)
+    if p == 2:
+        # XOR of the images of each 8-bit slice of the input, looked up
+        # in a 256-entry table per slice
+        images = weights @ mat
+        out = np.zeros(len(vals), dtype=np.int64)
+        for lo in range(0, mat.shape[1], 8):
+            table = np.zeros(1, dtype=np.int64)
+            for image in images[lo:lo + 8]:
+                table = np.concatenate([table, table ^ image])
+            out ^= table[(vals >> lo) & (len(table) - 1)]
+        return out
+    out = np.empty(len(vals), dtype=np.int64)
+    for rows, digits in _digit_chunks(vals, p, mat.shape[1]):
+        out[rows] = digits @ mat.T % p @ weights
+    return out
+
+
 # ---------------------------------------------------------------------------
 # field specs and elements
 # ---------------------------------------------------------------------------
@@ -314,14 +391,11 @@ class FieldSpec:
             cur = nxt
         self._red_rows = rows
         self._frob_cache: dict = {}
-        # discrete-log tables are built lazily once a field has seen
-        # enough products to amortize the build; results are identical
-        # to the generic path, only faster
-        self._exp: Optional[list] = None
-        self._log: Optional[dict] = None
-        self._mul_count = 0
-        self._table_threshold = self.size // 4 \
-            if 8 <= self.size <= 2**16 else None
+        # exp/log tables (numpy int32) and the split decode lists of the
+        # scalar table path; all built together by _build_tables
+        self._exp = None
+        self._log = None
+        self._decode: Optional[tuple] = None
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -408,20 +482,44 @@ class FieldSpec:
         return tuple(out)
 
     def _build_tables(self) -> None:
+        """exp/log tables by block doubling: exp[b:2b] = g^b * exp[0:b].
+
+        Multiplying by the constant g^b is a GF(p)-linear map, so each
+        block is one matrix product on base-p digits, and the matrix of
+        g^(2b) is the square of the matrix of g^b.
+        """
+        if self.size > TABLE_BUDGET:
+            raise CapExceededError(
+                f"field size {self.p}^{self.m} exceeds the table budget "
+                f"{TABLE_BUDGET}")
+        import numpy as np
+        p, m = self.p, self.m
         order = self.size - 1
         one = self.one().coeffs
-        gen = None
-        for n in range(1, self.size):
-            cand = self.from_int(n).coeffs
-            if all(self._pow_generic(cand, order // f) != one
-                   for f in _prime_divisors(order)):
-                gen = cand
-                break
-        exp = [one]
-        for _ in range(order - 1):
-            exp.append(self._mul_generic(exp[-1], gen))
-        log = {coeffs: i for i, coeffs in enumerate(exp)}
-        # readers gate on _exp, so _log must be visible first
+        gen = next(c for c in (self.from_int(n).coeffs
+                               for n in range(1, self.size))
+                   if all(self._pow_generic(c, order // f) != one
+                          for f in _prime_divisors(order)))
+        exp = np.empty(order, dtype=np.int32)
+        exp[0] = 1
+        step = np.array(self.multiplication_matrix(FieldElement(self, gen)),
+                        dtype=np.int64)
+        b = 1
+        while b < order:
+            k = min(b, order - b)
+            exp[b:b + k] = gfp_apply(step, p, exp[:k])
+            step = step @ step % p
+            b *= 2
+        log = np.zeros(self.size, dtype=np.int32)
+        log[exp] = np.arange(order, dtype=np.int32)
+        # every nonzero element exactly once, and g^order = 1
+        last = _digit_tuples(exp[-1:], p, m)[0]
+        if exp.min() < 1 or not np.array_equal(log[exp], np.arange(order)) \
+                or self._mul_generic(last, gen) != one:
+            raise RuntimeError("discrete-log tables are not a bijection")
+        h = (m + 1) // 2
+        self._decode = (p**h, _digit_tuples(range(p**h), p, h),
+                        _digit_tuples(range(p**(m - h)), p, m - h))
         self._log = log
         self._exp = exp
 
@@ -435,25 +533,34 @@ class FieldSpec:
             n >>= 1
         return out
 
+    def _has_tables(self) -> bool:
+        """Whether scalar operations use the tables; the first one in a
+        field of at most SCALAR_TABLE_LIMIT elements builds them."""
+        if self._exp is None and self.size <= SCALAR_TABLE_LIMIT:
+            self._build_tables()
+        return self._exp is not None
+
+    def _log_of(self, a: tuple) -> int:
+        return self._log.item(_encode(a, self.p))
+
+    def _exp_of(self, k: int) -> tuple:
+        """Coefficients of g^k, decoded through two short digit lists."""
+        base, low, high = self._decode
+        n = self._exp.item(k % (self.size - 1))
+        return low[n % base] + high[n // base]
+
     def _mul(self, a: tuple, b: tuple) -> tuple:
-        if self._exp is not None:
-            if not (any(a) and any(b)):
-                return (0,) * self.m
-            return self._exp[(self._log[a] + self._log[b])
-                             % (self.size - 1)]
-        if self._table_threshold is not None:
-            self._mul_count += 1
-            if self._mul_count > self._table_threshold:
-                self._table_threshold = None
-                self._build_tables()
-        return self._mul_generic(a, b)
+        if self._exp is None and not self._has_tables():
+            return self._mul_generic(a, b)
+        if not (any(a) and any(b)):
+            return (0,) * self.m
+        return self._exp_of(self._log_of(a) + self._log_of(b))
 
     def _inv(self, a: tuple) -> tuple:
         if not any(a):
             raise ZeroDivisionError("division by zero in " + repr(self))
-        if self._exp is not None:
-            order = self.size - 1
-            return self._exp[(order - self._log[a]) % order]
+        if self._exp is not None or self._has_tables():
+            return self._exp_of(-self._log_of(a))
         p = self.p
         # extended Euclid in GF(p)[x] against the modulus
         r0, r1 = list(self.modulus), _ptrim(list(a))
@@ -468,6 +575,61 @@ class FieldSpec:
         lead_inv = pow(r0[-1], p - 2, p)
         s0 = _pmod([(c * lead_inv) % p for c in s0], list(self.modulus), p)
         return tuple(s0 + [0] * (self.m - len(s0)))
+
+    # -- whole-field arrays of integer encodings ------------------------------
+
+    def tables(self) -> tuple:
+        """(exp, log) as int32 numpy arrays, built on first use.
+
+        Raises CapExceededError, before allocating, when the field has
+        more than TABLE_BUDGET elements.
+        """
+        if self._exp is None:
+            self._build_tables()
+        return self._exp, self._log
+
+    def power_product(self, *factors):
+        """Elementwise product of a_i ** e_i over factors (a_i, e_i).
+
+        Each a_i is an array of integer encodings.  Where a factor with
+        e_i > 0 is zero the product is zero; a zero factor with e_i < 0
+        raises ZeroDivisionError.
+        """
+        import numpy as np
+        exp, log = self.tables()
+        k = 0
+        zero = False
+        for vals, e in factors:
+            vals = np.asarray(vals)
+            if e < 0 and not vals.all():
+                raise ZeroDivisionError("division by zero in " + repr(self))
+            k = k + log[vals].astype(np.int64) * e
+            if e > 0:
+                zero = zero | (vals == 0)
+        return np.where(zero, 0, exp[k % (self.size - 1)].astype(np.int64))
+
+    def add_ints(self, a, b):
+        """Elementwise sum of two equal-length arrays of encodings."""
+        import numpy as np
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.p == 2:
+            return a ^ b
+        p, m = self.p, self.m
+        weights = p ** np.arange(m, dtype=np.int64)
+        out = np.empty(len(a), dtype=np.int64)
+        for rows, da in _digit_chunks(a, p, m):
+            out[rows] = (da + _digits(b[rows], p, m)) % p @ weights
+        return out
+
+    def elements_at(self, vals) -> list:
+        """FieldElements for an array of encodings, one object per value."""
+        import numpy as np
+        uniq, where = np.unique(np.asarray(vals, dtype=np.int64),
+                                return_inverse=True)
+        els = [FieldElement(self, cs)
+               for cs in _digit_tuples(uniq, self.p, self.m)]
+        return [els[i] for i in where.tolist()]
 
     # -- GF(p)-linear structure ----------------------------------------------
 
@@ -496,13 +658,13 @@ class FieldSpec:
         return mat
 
     def multiplication_matrix(self, a: "FieldElement") -> list:
+        # schoolbook products: the table builder calls this
         cols = []
-        base_x = self.element((0, 1) + (0,) * (self.m - 2)) \
-            if self.m > 1 else self.one()
-        cur = a
+        base_x = (0, 1) + (0,) * (self.m - 2)
+        cur = a.coeffs
         for _ in range(self.m):
-            cols.append(cur.coeffs)
-            cur = cur * base_x if self.m > 1 else cur
+            cols.append(cur)
+            cur = self._mul_generic(cur, base_x) if self.m > 1 else cur
         return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
 
 
@@ -521,17 +683,14 @@ class FieldElement:
         return f"GF({self.spec.p}^{self.spec.m})({self.serialize()})"
 
     def serialize(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(map(str, self.coeffs))
 
     @staticmethod
     def parse(spec: FieldSpec, text: str) -> "FieldElement":
         return spec.element([int(c) for c in text.split(",")])
 
     def to_int(self) -> int:
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.spec.p + c
-        return n
+        return _encode(self.coeffs, self.spec.p)
 
     def __hash__(self):
         return hash((self.spec, self.coeffs))
@@ -607,7 +766,7 @@ class FieldElement:
 
     def __pow__(self, n: int):
         spec = self.spec
-        if spec._exp is not None:
+        if spec._exp is not None or spec._has_tables():
             if not self:
                 if n == 0:
                     return spec.one()
@@ -615,9 +774,8 @@ class FieldElement:
                     raise ZeroDivisionError(
                         "negative power of zero in " + repr(spec))
                 return self
-            order = spec.size - 1
             return FieldElement(
-                spec, spec._exp[(spec._log[self.coeffs] * n) % order])
+                spec, spec._exp_of(spec._log_of(self.coeffs) * n))
         if n < 0:
             return self.inverse() ** (-n)
         result = spec.one()
@@ -896,3 +1054,31 @@ class GFpSolver:
         for r, pc in enumerate(self.pivots):
             x[pc] = c[r]
         return x
+
+    # -- many right-hand sides at once, in the integer encoding -------------
+
+    def consistent_ints(self, rhs):
+        """Boolean array: which right-hand sides have a solution."""
+        import numpy as np
+        parity = self.transform[self.rank:]
+        if not parity:
+            return np.ones(len(rhs), dtype=bool)
+        return gfp_apply(parity, self.p, rhs) == 0
+
+    def solve_ints(self, rhs):
+        """The particular solutions `solve` returns, for consistent
+        right-hand sides only."""
+        mat = [[0] * len(self.transform) for _ in range(self.ncols)]
+        for r, pc in enumerate(self.pivots):
+            mat[pc] = self.transform[r]
+        return gfp_apply(mat, self.p, rhs)
+
+    def nullspace_ints(self) -> list:
+        """Every vector of the null space, in the integer encoding."""
+        p = self.p
+        out = []
+        for combo in _iter_combinations(len(self.nullspace), p):
+            vec = [sum(c * b[i] for c, b in zip(combo, self.nullspace)) % p
+                   for i in range(self.ncols)]
+            out.append(_encode(vec, p))
+        return out

@@ -29,15 +29,14 @@ the tuple) leaves the coordinates Z_j = (x_{j-1} x_j)^(q-1), which obey
     Z_{j+1} (1+Z_{j+1})^(q-1) = Z_j^q / (1+Z_j)^(q-1)
 
 and generate the quotient tower; enumerate_x0 walks that recursion
-directly.  Enumeration orders are deterministic: coordinates are grown
-in field-enumeration order and results sorted lexicographically, so
-output does not depend on the worker count.
+directly.  Enumeration walks the whole field at once as arrays of
+integer encodings (see finite_field) and sorts the result
+lexicographically, so its order is deterministic.
 """
 
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .drinfeld import DrinfeldModule
@@ -47,7 +46,7 @@ from .finite_field import (
     embed,
     prime_power,
 )
-from .linearized import LinearizedPoly, preimages
+from .linearized import LinearizedPoly, _solver_for, preimages
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +106,13 @@ def _trace_map(q: int, spec: FieldSpec) -> LinearizedPoly:
 # tower points in x-coordinates
 # ---------------------------------------------------------------------------
 
+def _check_coordinate_field(q: int, field: FieldSpec) -> None:
+    pr = prime_power(q)
+    if pr is None or pr[0] != field.p or field.m % (2 * pr[1]):
+        raise ValueError(
+            f"coordinate field {field!r} must contain GF({q}^2)")
+
+
 class TowerPoint:
     """Affine point (x_1, ..., x_n) of the level-n tower curve.
 
@@ -123,10 +129,7 @@ class TowerPoint:
         if not coords:
             raise ValueError("a point needs at least the x_1 coordinate")
         spec = coords[0].spec
-        pr = prime_power(q)
-        if pr is None or pr[0] != spec.p or spec.m % (2 * pr[1]):
-            raise ValueError(
-                f"coordinate field {spec!r} must contain GF({q}^2)")
+        _check_coordinate_field(q, spec)
         for x in coords:
             if x.spec != spec:
                 raise ValueError("coordinates lie in different fields")
@@ -139,6 +142,14 @@ class TowerPoint:
                     "coordinates do not satisfy the tower relation")
         self.q = q
         self.coords = coords
+
+    @classmethod
+    def _checked_elsewhere(cls, q: int, coords: tuple) -> "TowerPoint":
+        """A point whose coordinates the caller has already validated."""
+        pt = object.__new__(cls)
+        pt.q = q
+        pt.coords = coords
+        return pt
 
     @property
     def level(self) -> int:
@@ -257,10 +268,7 @@ class X0Point:
         if not zcoords:
             raise ValueError("a point needs at least the Z_2 coordinate")
         spec = zcoords[0].spec
-        pr = prime_power(q)
-        if pr is None or pr[0] != spec.p or spec.m % (2 * pr[1]):
-            raise ValueError(
-                f"coordinate field {spec!r} must contain GF({q}^2)")
+        _check_coordinate_field(q, spec)
         minus_one = -spec.one()
         one = spec.one()
         for z in zcoords:
@@ -276,6 +284,14 @@ class X0Point:
                     "coordinates do not satisfy the quotient recursion")
         self.q = q
         self.zcoords = zcoords
+
+    @classmethod
+    def _checked_elsewhere(cls, q: int, zcoords: tuple) -> "X0Point":
+        """A point whose coordinates the caller has already validated."""
+        pt = object.__new__(cls)
+        pt.q = q
+        pt.zcoords = zcoords
+        return pt
 
     @property
     def level(self) -> int:
@@ -309,78 +325,171 @@ class X0Point:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# enumeration: whole-field array walks over integer encodings
 # ---------------------------------------------------------------------------
 
-def _chunked(items: list, workers: int) -> list:
-    return [items[i::workers] for i in range(workers)]
-
-
-def _run_chunks(fn, seeds: list, workers: int) -> list:
-    if workers <= 1 or len(seeds) <= 1:
-        return fn(seeds)
-    out = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(fn, _chunked(seeds, workers)):
-            out.extend(part)
+def _sorted_rows(cols: list) -> tuple:
+    """The columns reordered so their rows are in lexicographic order,
+    made read-only."""
+    import numpy as np
+    order = np.lexsort(cols[::-1])
+    out = tuple(c[order] for c in cols)
+    for c in out:
+        c.flags.writeable = False
     return out
 
 
-def enumerate_xprime(q: int, n: int, field: FieldSpec,
-                     workers: int = 1) -> list:
+def _xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
+    """Coordinate columns (x_1, ..., x_n) of every level-n point.
+
+    Each step solves z^q + z = x^(q+1) for every frontier point at once:
+    the map z -> z^q + z is GF(p)-linear, so solvability is the parity
+    rows of its solver and a particular solution is one matrix product;
+    the solutions are that plus the q kernel elements, and the new
+    coordinate is z / x.
+    """
+    import numpy as np
+    field.tables()  # before anything of field size is allocated
+    solver = _solver_for(_trace_map(q, field), field)
+    kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
+    cols = [np.arange(1, field.size, dtype=np.int64)]
+    for _ in range(n - 1):
+        last = cols[-1]
+        rhs = field.power_product((last, q + 1))
+        parent = np.flatnonzero(solver.consistent_ints(rhs))
+        z = field.add_ints(
+            np.repeat(solver.solve_ints(rhs[parent]), len(kernel)),
+            np.tile(kernel, len(parent)))
+        parent = np.repeat(parent, len(kernel))
+        live = z != 0
+        parent, z = parent[live], z[live]
+        cols = [c[parent] for c in cols]
+        cols.append(field.power_product((z, 1), (cols[-1], -1)))
+    return _sorted_rows(cols)
+
+
+def _check_xprime(q: int, field: FieldSpec, cols: tuple) -> None:
+    """Vectorised TowerPoint validation: nonzero coordinates, and
+    z^q + z = a^(q+1) with z = a*b for consecutive coordinates a, b."""
+    for a, b in zip(cols, cols[1:]):
+        z = field.power_product((a, 1), (b, 1))
+        if not (a.all() and b.all() and (field.add_ints(
+                field.power_product((z, q)), z)
+                == field.power_product((a, q + 1))).all()):
+            raise RuntimeError(
+                "an enumerated point fails the tower relation")
+
+
+def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
+    """The points of enumerate_xprime as read-only coordinate columns:
+    one int64 array of integer encodings per coordinate."""
+    if n < 2:
+        raise ValueError("the tower starts at level 2")
+    _check_coordinate_field(q, field)
+    cols = _xprime_columns(q, n, field)
+    _check_xprime(q, field, cols)
+    return cols
+
+
+def enumerate_xprime(q: int, n: int, field: FieldSpec) -> list:
     """All level-n points with every coordinate in the given field.
 
     Seeds x_1 over the nonzero elements and extends one coordinate at a
-    time; the result is sorted lexicographically by coordinate index,
-    so it is independent of the worker count.
+    time over the whole frontier at once; the result is sorted
+    lexicographically by coordinate index.  Every point is checked
+    against the tower relation before it is returned.
     """
+    coords = zip(*(field.elements_at(c)
+                   for c in xprime_columns(q, n, field)))
+    return [TowerPoint._checked_elsewhere(q, xs) for xs in coords]
+
+
+def _one_plus(field: FieldSpec, z):
+    import numpy as np
+    return field.add_ints(z, np.ones_like(z))
+
+
+def _z_forward(q: int, field: FieldSpec, z):
+    """Z (1+Z)^(q-1), the left side of the quotient recursion."""
+    return field.power_product((z, 1), (_one_plus(field, z), q - 1))
+
+
+def _z_backward(q: int, field: FieldSpec, z):
+    """Z^q / (1+Z)^(q-1), the right side of the quotient recursion."""
+    return field.power_product((z, q), (_one_plus(field, z), 1 - q))
+
+
+@functools.lru_cache(maxsize=1)
+def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
+    """Sorted coordinate columns (Z_2, ..., Z_n) of the level-n quotient
+    tower, and the degenerate-Z tally of the same walk.
+
+    Z_2 ranges over the field minus -1.  Each later coordinate solves
+    Z_{j+1} (1+Z_{j+1})^(q-1) = rhs(Z_j): the allowed values are sorted
+    by their left side once, and every frontier tuple takes the whole
+    bucket matching its right side.  A right side equal to the left side
+    of the excluded -1, which is 0, is a branch lost to Z = -1; the
+    excluded seed counts once more.  Cached for one field so that
+    enumerate_x0 and degenerate_z_skips share a walk.
+    """
+    import numpy as np
+    _check_coordinate_field(q, field)
+    field.tables()  # before anything of field size is allocated
+    minus_one = field.p - 1  # encoding of the prime-field constant -1
+    allowed = np.delete(np.arange(field.size, dtype=np.int64), minus_one)
+    cols = [allowed]
+    skipped = 1
+    if n > 2:
+        keys = _z_forward(q, field, allowed)
+        by_key = np.argsort(keys, kind="stable")
+        keys, members = keys[by_key], allowed[by_key]
+        for _ in range(n - 2):
+            rhs = _z_backward(q, field, cols[-1])
+            skipped += int(np.count_nonzero(rhs == 0))
+            lo = np.searchsorted(keys, rhs, side="left")
+            width = np.searchsorted(keys, rhs, side="right") - lo
+            parent = np.repeat(np.arange(len(rhs)), width)
+            offset = np.arange(len(parent)) - np.repeat(
+                np.cumsum(width) - width, width)
+            cols = [c[parent] for c in cols]
+            cols.append(members[np.repeat(lo, width) + offset])
+    cols = _sorted_rows(cols)
+    _check_x0(q, field, cols)
+    return cols, skipped
+
+
+def _check_x0(q: int, field: FieldSpec, cols: tuple) -> None:
+    """Vectorised X0Point validation: no coordinate is -1 and consecutive
+    coordinates satisfy the quotient recursion."""
+    import numpy as np
+    for c in cols:
+        if (c == field.p - 1).any():
+            raise RuntimeError("an enumerated point has Z = -1")
+    for za, zb in zip(cols, cols[1:]):
+        if not np.array_equal(_z_forward(q, field, zb),
+                              _z_backward(q, field, za)):
+            raise RuntimeError(
+                "an enumerated point fails the quotient recursion")
+
+
+def x0_columns(q: int, n: int, field: FieldSpec) -> tuple:
+    """The points of enumerate_x0 as read-only coordinate columns: one
+    int64 array of integer encodings per coordinate."""
     if n < 2:
-        raise ValueError("the tower starts at level 2")
-    seeds = list(field.nonzero_elements())
-
-    def grow(chunk):
-        pts = [TowerPoint(q, (x,)) for x in chunk]
-        for _ in range(n - 1):
-            pts = [ext for pt in pts for ext in pt.extend()]
-        return pts
-
-    points = _run_chunks(grow, seeds, workers)
-    points.sort(key=TowerPoint.ints)
-    return points
+        raise ValueError("the quotient tower starts at level 2")
+    return _x0_walk(q, n, field)[0]
 
 
-def enumerate_x0(q: int, n: int, field: FieldSpec, workers: int = 1) -> list:
+def enumerate_x0(q: int, n: int, field: FieldSpec) -> list:
     """All level-n quotient-tower points with coordinates in the field.
 
     The level-2 seed Z_2 ranges over the field minus the degenerate
-    value -1; each later coordinate solves the degree-q recursion,
-    found by one pass of bucketed enumeration over the field.
+    value -1; each later coordinate solves the degree-q recursion, found
+    by one bucketed walk over the whole field.  Every point is checked
+    against the recursion before it is returned.
     """
-    if n < 2:
-        raise ValueError("the quotient tower starts at level 2")
-    one = field.one()
-    minus_one = -one
-    allowed = [z for z in field.elements() if z != minus_one]
-    buckets: dict = {}
-    if n > 2:
-        for z in allowed:
-            buckets.setdefault(z * (one + z) ** (q - 1), []).append(z)
-
-    def grow(chunk):
-        tuples = [(z,) for z in chunk]
-        for _ in range(n - 2):
-            nxt = []
-            for tup in tuples:
-                za = tup[-1]
-                rhs = za.frobenius(q) / (one + za) ** (q - 1)
-                for zb in buckets.get(rhs, ()):
-                    nxt.append(tup + (zb,))
-            tuples = nxt
-        return [X0Point(q, tup) for tup in tuples]
-
-    points = _run_chunks(grow, allowed, workers)
-    points.sort(key=X0Point.ints)
-    return points
+    coords = zip(*(field.elements_at(c) for c in x0_columns(q, n, field)))
+    return [X0Point._checked_elsewhere(q, zs) for zs in coords]
 
 
 def degenerate_z_skips(q: int, n: int, field: FieldSpec) -> int:
@@ -389,29 +498,12 @@ def degenerate_z_skips(q: int, n: int, field: FieldSpec) -> int:
 
     The excluded seed counts once; past that, a branch reaches -1 only
     from a tuple whose last coordinate makes the recursion's right side
-    vanish.  Reported as a diagnostic next to the point counts.
+    vanish.  Reported as a diagnostic next to the point counts; taken
+    from the same walk as enumerate_x0.
     """
     if n < 2:
         raise ValueError("the quotient tower starts at level 2")
-    one = field.one()
-    minus_one = -one
-    target = minus_one * (one + minus_one) ** (q - 1)
-    allowed = [z for z in field.elements() if z != minus_one]
-    skipped = 1
-    frontier = {z: 1 for z in allowed}
-    buckets: dict = {}
-    for z in allowed:
-        buckets.setdefault(z * (one + z) ** (q - 1), []).append(z)
-    for _ in range(n - 2):
-        nxt: dict = {}
-        for za, mult in frontier.items():
-            rhs = za.frobenius(q) / (one + za) ** (q - 1)
-            if rhs == target:
-                skipped += mult
-            for zb in buckets.get(rhs, ()):
-                nxt[zb] = nxt.get(zb, 0) + mult
-        frontier = nxt
-    return skipped
+    return _x0_walk(q, n, field)[1]
 
 
 @functools.lru_cache(maxsize=None)

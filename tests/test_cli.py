@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 
 from drintower.cli import main
 
@@ -106,10 +107,21 @@ def test_zeta_requires_genus_and_level_two(capsys):
     assert code == 2 and "quadratic" in err
 
 
+def test_zeta_usage_errors_exit_2(capsys):
+    code, out, err = _run(capsys, "zeta", "--q", "4", "--n", "2",
+                          "--genus", "6", "--ext", "1..3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "at least 6 counts" in err
+    code, out, err = _run(capsys, "zeta", "--q", "2", "--n", "2",
+                          "--genus", "-1", "--ext", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "nonnegative" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import drintower.cli as cli_mod
 
-    def broken_suite(q, ctx, workers=1):
+    def broken_suite(q, ctx):
         return [{"identity": "forced", "cases": 1, "passed": False,
                  "failures": [{"detail": "forced failure"}]}]
 
@@ -124,6 +136,15 @@ def test_cap_exit_code(capsys):
                         "--ext", "13")
     assert code == 3
     assert "cap" in err
+
+
+def test_walk_past_table_budget_exits_3(capsys):
+    # the cap admits GF(2^26), but its tables would exceed the budget;
+    # the walk is refused before it allocates anything of field size
+    code, out, err = _run(capsys, "enumerate", "--q", "2", "--n", "2",
+                          "--ext", "13", "--cap", str(2**26))
+    assert (code, out) == (3, "")
+    assert "table budget" in err
 
 
 def test_invalid_inputs(capsys):
@@ -183,6 +204,35 @@ def test_workers_do_not_change_output(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_workers_start_no_thread(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for cmd in (("enumerate", "--q", "2", "--n", "3", "--ext", "2"),
+                ("count", "--q", "2", "--n", "3", "--variant", "x0",
+                 "--ext", "1..2")):
+        outs = []
+        for workers in ("1", "8"):
+            code, out, _ = _run(capsys, *cmd, "--workers", workers)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+
+def test_setup_does_not_import_numpy():
+    # importing the CLI and building fields stays free of numpy; tables
+    # and array walks import it when first needed
+    probe = ("import sys, drintower.cli\n"
+             "from drintower.finite_field import make_field\n"
+             "make_field(17, 4); make_field(2, 16)\n"
+             "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_subprocess_entry_point():

@@ -1,11 +1,14 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from drintower.finite_field import (
     CapExceededError,
     FieldElement,
     FieldSpec,
+    GFpSolver,
     _LEX_FIRST,
     arith,
     embed,
@@ -183,7 +186,7 @@ def test_field_axioms_sampled(p, m):
             assert a * a.inverse() == one
 
 
-@pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (5, 2)])
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (5, 2), (7, 2)])
 def test_log_table_path_bit_identical(p, m):
     spec = make_field(p, m)
     spec._build_tables()
@@ -207,20 +210,112 @@ def test_log_table_path_bit_identical(p, m):
         zero ** -1
 
 
-def test_log_table_triggers_lazily():
-    # a field built outside the cache starts on the generic path and
-    # flips to tables after enough products, with identical results
-    spec = FieldSpec(2, 4, (1, 1, 0, 0, 1))
+# a non-default irreducible modulus for each sampled table check
+_OTHER_MODULI = {
+    (2, 16): (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1),
+    (17, 4): (1, 3, 0, 0, 1),
+    (2, 18): (1,) + (0,) * 6 + (1,) + (0,) * 10 + (1,),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(_OTHER_MODULI))
+@pytest.mark.parametrize("default_modulus", [True, False])
+def test_table_path_matches_schoolbook_sampled(p, m, default_modulus):
+    modulus = first_irreducible(p, m) if default_modulus \
+        else _OTHER_MODULI[(p, m)]
+    # a field built outside the cache starts without tables; once built
+    # (by hand here, as an array walk would), products, inverses and
+    # powers equal the schoolbook path
+    spec = FieldSpec(p, m, modulus)
+    assert spec._exp is None and spec._log is None
+    spec._build_tables()
+    one = spec.one().coeffs
+    order = spec.size - 1
+    rng = random.Random(f"{p}^{m}:{default_modulus}")
+    for _ in range(10**4):
+        a = spec.random_element(rng).coeffs
+        b = spec.random_element(rng).coeffs
+        assert spec._mul(a, b) == spec._mul_generic(a, b)
+        if any(a):
+            assert spec._mul_generic(a, spec._inv(a)) == one
+    for _ in range(100):
+        a = spec.random_nonzero(rng)
+        n = rng.randrange(-3 * spec.size, 3 * spec.size)
+        assert (a ** n).coeffs == spec._pow_generic(a.coeffs, n % order)
+    zero = spec.zero()
+    assert zero ** 0 == spec.one()
+    assert zero ** 5 == zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+
+
+def test_tables_are_built_on_first_need():
+    small = FieldSpec(2, 4, (1, 1, 0, 0, 1))
+    assert small._exp is None
+    a = small.from_int(5)
+    assert (a * a).coeffs == small._mul_generic(a.coeffs, a.coeffs)
+    assert small._exp is not None     # the first product built them
+    big = FieldSpec(17, 4, (3, 0, 0, 0, 1))
+    b = big.from_int(12345)
+    assert (b * b).coeffs == big._mul_generic(b.coeffs, b.coeffs)
+    assert big._exp is None           # above 2^16: schoolbook products
+    exp, log = big.tables()
+    assert big._exp is exp and len(exp) == big.size - 1
+    assert log[exp[7]] == 7
+
+
+def test_tables_refused_past_budget():
+    spec = FieldSpec(2, 25, first_irreducible(2, 25))
+    with pytest.raises(CapExceededError, match="table budget"):
+        spec.tables()
     assert spec._exp is None
-    rng = random.Random(9)
-    seen = []
-    for _ in range(3 * spec.size):
-        a, b = spec.random_element(rng), spec.random_element(rng)
-        seen.append((a, b, a * b))
-    assert spec._exp is not None
-    for a, b, prod in seen:
-        assert a * b == prod
-        assert (a * b).coeffs == spec._mul_generic(a.coeffs, b.coeffs)
+    a = spec.from_int(3)
+    assert (a * a).coeffs == spec._mul_generic(a.coeffs, a.coeffs)
+
+
+@pytest.mark.parametrize("p,m", [(2, 5), (3, 3), (5, 2)])
+def test_array_arithmetic_matches_scalar(p, m):
+    spec = make_field(p, m)
+    els = list(spec.elements())
+    a, b = (np.array(v) for v in zip(*itertools.product(
+        range(spec.size), repeat=2)))
+    assert spec.add_ints(a, b).tolist() == \
+        [(x + y).to_int() for x in els for y in els]
+    assert spec.power_product((a, 2), (b, 1)).tolist() == \
+        [(x * x * y).to_int() for x in els for y in els]
+    nz = b != 0
+    assert spec.power_product((a[nz], 1), (b[nz], -1)).tolist() == \
+        [(x / y).to_int() for x in els for y in els if y]
+    with pytest.raises(ZeroDivisionError):
+        spec.power_product((a, 1), (b, -1))
+    assert [e.coeffs for e in spec.elements_at(b[:spec.size])] == \
+        [e.coeffs for e in els]
+
+
+@pytest.mark.parametrize("p,rows,cols", [(2, 5, 7), (2, 9, 9), (3, 4, 3),
+                                         (5, 3, 4)])
+def test_solver_arrays_match_scalar_solve(p, rows, cols):
+    # the vectorised solver against GFpSolver.solve on every right side
+    rng = random.Random(f"{p}:{rows}:{cols}")
+    mat = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    mat[-1] = mat[0][:]  # force a rank deficit
+    solver = GFpSolver(mat, p)
+    rhs = list(itertools.product(range(p), repeat=rows))
+    enc = np.array([sum(c * p**i for i, c in enumerate(v)) for v in rhs])
+    want = [solver.solve(list(v)) for v in rhs]
+    ok = solver.consistent_ints(enc)
+    assert ok.tolist() == [w is not None for w in want]
+    assert solver.solve_ints(enc[ok]).tolist() == [
+        sum(c * p**i for i, c in enumerate(w))
+        for w in want if w is not None]
+    kernel = solver.nullspace_ints()
+    assert len(set(kernel)) == p ** len(solver.nullspace)
+    for k in kernel:
+        vec = [k // p**i % p for i in range(cols)]
+        assert all(sum(x * y for x, y in zip(row, vec)) % p == 0
+                   for row in mat)
 
 
 def test_embed_examples():

@@ -17,6 +17,8 @@ from drintower.tower import (
     supersingular_z_values,
     torsion_poly,
     verify_descent,
+    x0_columns,
+    xprime_columns,
 )
 
 
@@ -424,3 +426,31 @@ def test_serialization():
     pt = TowerPoint(2, (w, gf4.one()))
     assert pt.serialize() == ["0,1", "1,0"]
     assert pt.project_to_x0().serialize() == ["0,1"]
+
+
+def test_walk_checks_reject_corrupted_columns():
+    # the vectorised checks that replace per-point validation must raise
+    # on a single bad coordinate
+    import numpy as np
+    from drintower import tower
+    gf16 = make_field(2, 4)
+    cols = [c.copy() for c in xprime_columns(2, 3, gf16)]
+    tower._check_xprime(2, gf16, cols)
+    # x3 -> x3 + 1 moves z = x2*x3 by x2, off the solution coset
+    # unless x2 lies in GF(2)
+    row = np.flatnonzero(cols[1] != 1)[0]
+    cols[2][row] ^= 1
+    with pytest.raises(RuntimeError, match="tower relation"):
+        tower._check_xprime(2, gf16, cols)
+
+    zcols = [c.copy() for c in x0_columns(2, 3, gf16)]
+    tower._check_x0(2, gf16, zcols)
+    forward = tower._z_forward(2, gf16, np.arange(16))
+    old = zcols[1][0]
+    zcols[1][0] = next(v for v in range(16)
+                       if v != 1 and forward[v] != forward[old])
+    with pytest.raises(RuntimeError, match="quotient recursion"):
+        tower._check_x0(2, gf16, zcols)
+    zcols[1][0] = 1  # the excluded value -1 in characteristic 2
+    with pytest.raises(RuntimeError, match="Z = -1"):
+        tower._check_x0(2, gf16, zcols)
