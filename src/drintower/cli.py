@@ -10,6 +10,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 field-size cap exceeded.  Identical configuration produces
 byte-identical output.  --workers is accepted for compatibility and
 ignored: the whole-field walks run as array code in one thread.
+
+enumerate works on the sorted, relation-checked integer coordinate
+columns of the tower walks: --supersingular-only is a row mask, each
+column becomes element strings through FieldSpec.serialize_ints, and
+the JSON points list is joined as text in json.dumps's indent-2
+layout, so no per-point TowerPoint, X0Point or FieldElement is built.
+verify still works on point objects.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ from .tower import (
     quotient_torsion_poly,
     supersingular_z_values,
     torsion_poly,
+    x0_columns,
+    x0_supersingular_mask,
+    xprime_columns,
+    xprime_supersingular_mask,
 )
 
 EXIT_OK = 0
@@ -214,8 +225,37 @@ def _json_meta(meta: dict) -> dict:
     return out
 
 
+def _json_rows(rows: list) -> list:
+    """Pieces of text that join to json.dumps(rows, indent=2) as the
+    value of a top-level key, for non-empty rows of strings that need
+    no JSON escaping."""
+    if not rows:
+        return ["[]"]
+    return ['[\n    [\n      "',
+            '"\n    ],\n    [\n      "'.join(
+                ['",\n      "'.join(row) for row in rows]),
+            '"\n    ]\n  ]']
+
+
 def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline.
+
+    A top-level "points" value, rows of serialized field elements, is
+    laid out by _json_rows: with indent set, json runs its pure-Python
+    encoder, and those rows are nearly all of an enumerate report.
+    """
+    pieces = []
+    sep = "{\n  "
+    for key in sorted(payload):
+        pieces.append(f"{sep}{json.dumps(key)}: ")
+        sep = ",\n  "
+        if key == "points":
+            pieces += _json_rows(payload[key])
+        else:
+            pieces.append(json.dumps(payload[key], indent=2, sort_keys=True)
+                          .replace("\n", "\n  "))
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def _emit_csv(meta: dict, rows: list) -> str:
@@ -381,26 +421,26 @@ def _cmd_enumerate(cfg: RunConfig) -> int:
     if cfg.m_first != cfg.m_last:
         raise UsageError("enumerate takes a single extension, not a range")
     if cfg.variant == "xprime":
-        pts = enumerate_xprime(cfg.q, cfg.n, L)
+        cols = xprime_columns(cfg.q, cfg.n, L)
+        supersingular = xprime_supersingular_mask
+        names = [f"x{i}" for i in range(1, cfg.n + 1)]
     else:
-        pts = enumerate_x0(cfg.q, cfg.n, L)
+        cols = x0_columns(cfg.q, cfg.n, L)
+        supersingular = x0_supersingular_mask
+        names = [f"Z{i}" for i in range(2, cfg.n + 1)]
     if cfg.supersingular_only:
-        pts = [pt for pt in pts if pt.is_supersingular()]
+        keep = supersingular(cfg.q, L, cols)
+        cols = [c[keep] for c in cols]
+    rows = list(zip(*(L.serialize_ints(c) for c in cols)))
     meta = _meta(cfg, "enumerate", ctx)
     meta["field"] = L.serialize()
     meta["affine_only"] = True
-    meta["count"] = len(pts)
+    meta["count"] = len(rows)
     if cfg.format == "json":
-        payload = {"meta": _json_meta(meta),
-                   "points": [pt.serialize() for pt in pts]}
+        payload = {"meta": _json_meta(meta), "points": rows}
         sys.stdout.write(_emit_json(payload))
     else:
-        width = cfg.n if cfg.variant == "xprime" else cfg.n - 1
-        names = [f"x{i}" for i in range(1, width + 1)] \
-            if cfg.variant == "xprime" \
-            else [f"Z{i}" for i in range(2, width + 2)]
-        rows = [names] + [pt.serialize() for pt in pts]
-        sys.stdout.write(_emit_csv(meta, rows))
+        sys.stdout.write(_emit_csv(meta, [names] + rows))
     return EXIT_OK
 
 

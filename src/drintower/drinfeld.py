@@ -231,8 +231,9 @@ def isogeny_from_kernel(module: DrinfeldModule, kernel: Iterable[FieldElement]):
     pset = set(pts)
     if spec.zero() not in pset:
         raise ValueError("kernel must contain 0")
-    d_float = math.log(len(pset), q)
-    d = round(d_float)
+    d = 0
+    while q**d < len(pset):
+        d += 1
     if q**d != len(pset):
         raise ValueError("kernel size is not a power of q")
     scalars = subfield_elements(spec, q)

@@ -302,6 +302,15 @@ def _digit_tuples(vals, p: int, width: int) -> list:
     return out
 
 
+def _halves(p: int, m: int) -> tuple:
+    """(base, low, high) for splitting an encoding n into n % base and
+    n // base: low and high list the digit tuples of the two halves, so
+    the coefficients of n are low[n % base] + high[n // base]."""
+    h = (m + 1) // 2
+    return (p**h, _digit_tuples(range(p**h), p, h),
+            _digit_tuples(range(p**(m - h)), p, m - h))
+
+
 def gfp_apply(mat, p: int, vals):
     """mat @ v over GF(p) for every v in vals.
 
@@ -517,9 +526,7 @@ class FieldSpec:
         if exp.min() < 1 or not np.array_equal(log[exp], np.arange(order)) \
                 or self._mul_generic(last, gen) != one:
             raise RuntimeError("discrete-log tables are not a bijection")
-        h = (m + 1) // 2
-        self._decode = (p**h, _digit_tuples(range(p**h), p, h),
-                        _digit_tuples(range(p**(m - h)), p, m - h))
+        self._decode = _halves(p, m)
         self._log = log
         self._exp = exp
 
@@ -630,6 +637,20 @@ class FieldSpec:
         els = [FieldElement(self, cs)
                for cs in _digit_tuples(uniq, self.p, self.m)]
         return [els[i] for i in where.tolist()]
+
+    def serialize_ints(self, vals) -> list:
+        """FieldElement.serialize of each encoding in vals, without
+        building elements: the text of the low half of the digits joined
+        to that of the high half, looked up in two short string lists."""
+        import numpy as np
+        vals = np.asarray(vals, dtype=np.int64)
+        if len(vals) and not (vals.min() >= 0 and vals.max() < self.size):
+            raise ValueError("encoding out of range")
+        base, low, high = _halves(self.p, self.m)
+        low = [",".join(map(str, cs)) for cs in low]
+        high = ["".join("," + str(c) for c in cs) for cs in high]
+        return [low[a] + high[b] for a, b in
+                zip((vals % base).tolist(), (vals // base).tolist())]
 
     # -- GF(p)-linear structure ----------------------------------------------
 
@@ -820,7 +841,7 @@ def q_frobenius(a: FieldElement, q: int, e: int = 1) -> FieldElement:
 # embeddings and subfields
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _embedding_powers(source: FieldSpec, target: FieldSpec) -> tuple:
     """Powers (r^0, ..., r^{m-1}) of the chosen root of source.modulus."""
     if source.p != target.p or target.m % source.m:
@@ -867,7 +888,7 @@ def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
     return acc
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _embedding_section(source: FieldSpec, target: FieldSpec) -> dict:
     return {embed(y, target).coeffs: y for y in source.elements()}
 
@@ -881,7 +902,7 @@ def project(a: FieldElement, target: FieldSpec) -> FieldElement:
         raise ValueError(f"{a!r} is not in the embedded copy of {target!r}")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def subfield_elements(spec: FieldSpec, q: int) -> tuple:
     """All x in the field with x^q = x, sorted in enumeration order.
 

@@ -391,6 +391,22 @@ def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
     return cols
 
 
+def xprime_supersingular_mask(q: int, field: FieldSpec, cols):
+    """Boolean row mask of the supersingular points among coordinate
+    columns of xprime_columns: x_1^(q^2) = x_1.
+
+    Like TowerPoint.is_supersingular, raises RuntimeError when a kept
+    row has another coordinate outside GF(q^2).
+    """
+    keep = field.power_product((cols[0], q * q)) == cols[0]
+    for c in cols[1:]:
+        kept = c[keep]
+        if not (field.power_product((kept, q * q)) == kept).all():
+            raise RuntimeError(
+                "supersingular point left GF(q^2); tower relation broken")
+    return keep
+
+
 def enumerate_xprime(q: int, n: int, field: FieldSpec) -> list:
     """All level-n points with every coordinate in the given field.
 
@@ -480,6 +496,15 @@ def x0_columns(q: int, n: int, field: FieldSpec) -> tuple:
     return _x0_walk(q, n, field)[0]
 
 
+def x0_supersingular_mask(q: int, field: FieldSpec, cols):
+    """Boolean row mask of the supersingular points among coordinate
+    columns of x0_columns: every Z^(q+1) = 1, as X0Point.is_supersingular
+    tests."""
+    import numpy as np
+    return np.logical_and.reduce(
+        [field.power_product((c, q + 1)) == 1 for c in cols])
+
+
 def enumerate_x0(q: int, n: int, field: FieldSpec) -> list:
     """All level-n quotient-tower points with coordinates in the field.
 
@@ -506,7 +531,7 @@ def degenerate_z_skips(q: int, n: int, field: FieldSpec) -> int:
     return _x0_walk(q, n, field)[1]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def supersingular_z_values(q: int, k1: FieldSpec) -> tuple:
     """The q supersingular Z-values inside GF(q^2).
 

@@ -242,3 +242,23 @@ def test_subprocess_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "supersingular_over_k1,,,6" in proc.stdout
+
+
+def test_emit_json_matches_json_dumps():
+    import random
+    from drintower.cli import _emit_json
+    rng = random.Random(11)
+    meta = {"tool": "drintower", "count": 3, "nested": {"b": [1, {}], "a": []},
+            "fields_used": {"2^4": "2^4/1,1,0,0,1"}}
+    cases = [[], [["1,0"]]]
+    for width in (1, 2, 3):
+        cases.append([[f"{rng.randrange(9)},{rng.randrange(9)}"
+                       for _ in range(width)] for _ in range(50)])
+    for rows in cases:
+        payload = {"points": rows, "meta": meta}
+        assert _emit_json(payload) == \
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    other = {"passed": True, "checks": [{"failures": []}], "meta": meta}
+    assert _emit_json(other) == \
+        json.dumps(other, indent=2, sort_keys=True) + "\n"
+

@@ -193,3 +193,13 @@ def test_field_context_overrides():
     tight = FieldContext(cap=8)
     with pytest.raises(CapExceededError):
         tight.extension_of_k1(2, 2)
+
+
+@pytest.mark.parametrize("q,m", [(2, 6), (3, 3)])
+def test_hermitian_count_in_blocks_matches_closed_form(q, m, monkeypatch):
+    # GF(2^12) and GF(3^6) walked in many short blocks, the last one
+    # partial; the count is q^(2m) - q(q-1)(-q)^m
+    from drintower import counting
+    monkeypatch.setattr(counting, "HERMITIAN_BLOCK", 1000)
+    assert hermitian_affine_count(q, m) == \
+        q ** (2 * m) - q * (q - 1) * (-q) ** m

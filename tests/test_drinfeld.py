@@ -338,3 +338,17 @@ def test_apoly_arithmetic():
     i = gf9.element((0, 1))
     # (1 + 2T) at T = i: 1 + 2i
     assert a.evaluate(i) == gf9.one() + gf9.constant(2) * i
+
+
+def test_isogeny_degree_is_exact_power_of_q():
+    gf9 = _gf(3, 2)
+    w = gf9.from_int(3)
+    m = module_from_torsion_point(w, 3)
+    line = {gf9.zero(), w, w + w}
+    for kernel, degree in (({gf9.zero()}, 0), (line, 1),
+                           (set(gf9.elements()), 2)):
+        u, _ = isogeny_from_kernel(m, kernel)
+        assert u.tau_degree == degree
+    for size in (2, 4, 8):
+        with pytest.raises(ValueError, match="power of q"):
+            isogeny_from_kernel(m, set(list(gf9.elements())[:size]))

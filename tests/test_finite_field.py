@@ -397,3 +397,30 @@ def test_prime_power():
     assert prime_power(27) == (3, 3)
     assert prime_power(6) is None
     assert prime_power(1) is None
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (3, 3), (5, 2)])
+def test_serialize_ints_exhaustive(p, m):
+    spec = make_field(p, m)
+    assert spec.serialize_ints(np.arange(spec.size)) == \
+        [x.serialize() for x in spec.elements()]
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (17, 4)])
+@pytest.mark.parametrize("default_modulus", [True, False])
+def test_serialize_ints_sampled(p, m, default_modulus):
+    modulus = first_irreducible(p, m) if default_modulus \
+        else _OTHER_MODULI[(p, m)]
+    spec = FieldSpec(p, m, modulus)
+    rng = random.Random(f"serialize {p}^{m}:{default_modulus}")
+    vals = [rng.randrange(spec.size) for _ in range(10**4)]
+    assert spec.serialize_ints(np.array(vals)) == \
+        [spec.from_int(v).serialize() for v in vals]
+
+
+def test_serialize_ints_rejects_out_of_range():
+    spec = make_field(2, 4)
+    assert spec.serialize_ints([]) == []
+    for bad in ([16], [-1]):
+        with pytest.raises(ValueError):
+            spec.serialize_ints(bad)

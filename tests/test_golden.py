@@ -4,6 +4,10 @@ The hashes were recorded from the scalar, per-seed implementation of
 the tower walks, before the array walks replaced it; every later change
 must keep these outputs byte for byte.  GF(17^4) (83 521 elements) is
 the first field of the matrix too large for the old 2^16 table cutoff.
+The last four cases (the x-coordinate supersingular mask, odd p in the
+JSON layout, the Z-coordinate mask in csv) were recorded from the
+renderer that built a point object per row, before enumerate rendered
+integer columns directly.
 """
 
 import contextlib
@@ -61,6 +65,17 @@ GOLDEN = [
      "7825098a25d2279ba01bb35f15b9a75c5c9b36c4bcce1cd902e0c341d2f6dfa7"),
     (('enumerate', '--q', '17', '--n', '2', '--ext', '2'),
      "a1ad99453b03cf6168e023438ec1b12626a4605a98bbce5262455e4668bc06c5"),
+    (('enumerate', '--q', '2', '--n', '3', '--ext', '2',
+      '--supersingular-only'),
+     "89ccc268769aea81d25c17de3edf63615faf2dc0aec6a2e53bed6319c6017415"),
+    (('enumerate', '--q', '2', '--n', '3', '--ext', '2',
+      '--supersingular-only', '--format', 'csv'),
+     "12cb22fdeeaa2aaf9dbc90d0932c81e4b37e8709e990d417d4e2c1ae2e1844bc"),
+    (('enumerate', '--q', '3', '--n', '2', '--ext', '1'),
+     "928911a15042c51b94942ccda4b707a23f25cf9c6235a8a9cd1531991946aae8"),
+    (('enumerate', '--q', '5', '--n', '2', '--ext', '1', '--variant', 'x0',
+      '--supersingular-only', '--format', 'csv'),
+     "c547e379f2cf24eac8e5d2d8c47ef24bf0ae5b50af9338b6b4b7b7731af37814"),
 ]
 
 
@@ -72,3 +87,25 @@ def test_cli_stdout_matches_golden_hash(argv, digest):
         code = main(list(argv))
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_enumerate_builds_no_point_objects(monkeypatch):
+    # enumerate renders the integer coordinate columns: with every
+    # per-point constructor and serializer made to raise, its golden
+    # outputs (both variants, json and csv) still come out
+    from drintower import finite_field, tower
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built a per-point object")
+
+    monkeypatch.setattr(finite_field.FieldSpec, "elements_at", refuse)
+    monkeypatch.setattr(finite_field.FieldElement, "serialize", refuse)
+    for cls in (tower.TowerPoint, tower.X0Point):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(cls, "_checked_elsewhere", refuse)
+    cases = [(argv, digest) for argv, digest in GOLDEN
+             if argv[0] == "enumerate" and argv[2] != "17"]
+    assert {("csv" in argv, "x0" in argv) for argv, _ in cases} == \
+        {(False, False), (False, True), (True, False), (True, True)}
+    for argv, digest in cases:
+        test_cli_stdout_matches_golden_hash(argv, digest)

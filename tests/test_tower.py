@@ -454,3 +454,42 @@ def test_walk_checks_reject_corrupted_columns():
     zcols[1][0] = 1  # the excluded value -1 in characteristic 2
     with pytest.raises(RuntimeError, match="Z = -1"):
         tower._check_x0(2, gf16, zcols)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_supersingular_masks_match_point_methods(q):
+    from drintower.tower import (x0_supersingular_mask,
+                                 xprime_supersingular_mask)
+    p, r = prime_power(q)
+    big = make_field(p, 6 * r)  # GF(q^6): both kinds of points occur
+    for n in (2, 3):
+        for columns, mask, enum in (
+                (xprime_columns, xprime_supersingular_mask,
+                 enumerate_xprime),
+                (x0_columns, x0_supersingular_mask, enumerate_x0)):
+            keep = mask(q, big, columns(q, n, big))
+            expected = [pt.is_supersingular() for pt in enum(q, n, big)]
+            assert keep.tolist() == expected
+            assert 0 < sum(expected) < len(expected)
+
+
+def test_xprime_mask_rejects_supersingular_row_leaving_gf_q2():
+    import numpy as np
+    from drintower.tower import xprime_supersingular_mask
+    gf16 = make_field(2, 4)
+    cols = [c.copy() for c in xprime_columns(2, 2, gf16)]
+    row = np.flatnonzero(xprime_supersingular_mask(2, gf16, cols))[0]
+    cols[1][row] = next(x.to_int() for x in gf16.nonzero_elements()
+                        if x.frobenius(2, 2) != x)
+    with pytest.raises(RuntimeError, match="left GF"):
+        xprime_supersingular_mask(2, gf16, cols)
+
+
+def test_module_caches_are_bounded():
+    from drintower import finite_field, tower
+    for fn in (finite_field._embedding_powers,
+               finite_field._embedding_section,
+               finite_field.subfield_elements,
+               tower.supersingular_z_values):
+        maxsize = fn.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0, fn.__name__
