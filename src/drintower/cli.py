@@ -12,11 +12,16 @@ byte-identical output.  --workers is accepted for compatibility and
 ignored: the whole-field walks run as array code in one thread.
 
 enumerate works on the sorted, relation-checked integer coordinate
-columns of the tower walks: --supersingular-only is a row mask, each
-column becomes element strings through FieldSpec.serialize_ints, and
-the JSON points list is joined as text in json.dumps's indent-2
-layout, so no per-point TowerPoint, X0Point or FieldElement is built.
-verify still works on point objects.
+columns of the tower walks, and no per-point TowerPoint, X0Point or
+FieldElement is built: --supersingular-only is a row mask, and every
+check (tower relation, supersingular mask, encoding range) runs before
+the first byte is written.  The text before the points comes from the
+same renderers as every other report.  The points follow in blocks of
+RENDER_BLOCK rows, each rendered as one uint8 matrix from the byte
+tables of FieldSpec.text_tables in the exact layout of json.dumps
+(indent 2) or csv.writer, so the process holds the columns and one
+block of text, never the whole listing.  verify still works on point
+objects.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+# rows of an enumerate listing rendered and written at once
+RENDER_BLOCK = 2**14
 
 
 class UsageError(Exception):
@@ -225,37 +233,9 @@ def _json_meta(meta: dict) -> dict:
     return out
 
 
-def _json_rows(rows: list) -> list:
-    """Pieces of text that join to json.dumps(rows, indent=2) as the
-    value of a top-level key, for non-empty rows of strings that need
-    no JSON escaping."""
-    if not rows:
-        return ["[]"]
-    return ['[\n    [\n      "',
-            '"\n    ],\n    [\n      "'.join(
-                ['",\n      "'.join(row) for row in rows]),
-            '"\n    ]\n  ]']
-
-
 def _emit_json(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) and a newline.
-
-    A top-level "points" value, rows of serialized field elements, is
-    laid out by _json_rows: with indent set, json runs its pure-Python
-    encoder, and those rows are nearly all of an enumerate report.
-    """
-    pieces = []
-    sep = "{\n  "
-    for key in sorted(payload):
-        pieces.append(f"{sep}{json.dumps(key)}: ")
-        sep = ",\n  "
-        if key == "points":
-            pieces += _json_rows(payload[key])
-        else:
-            pieces.append(json.dumps(payload[key], indent=2, sort_keys=True)
-                          .replace("\n", "\n  "))
-    pieces.append("\n}\n")
-    return "".join(pieces)
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_csv(meta: dict, rows: list) -> str:
@@ -270,6 +250,69 @@ def _emit_csv(meta: dict, rows: list) -> str:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
+
+
+def _render_rows(tables: tuple, cols: list, head: str, sep: str,
+                 tail: str) -> str:
+    """Text of the rows of integer coordinate columns: for each row,
+    head, the element texts of its coordinates joined by sep, and tail.
+
+    The rows are one (rows, width) uint8 matrix: the literal pieces are
+    broadcast into fixed columns, and each coordinate's slot is gathered
+    from the two NUL-padded half tables of FieldSpec.text_tables.  Where
+    the tables are padded (p > 10), one boolean mask drops the padding.
+    """
+    import numpy as np
+    base, low, high = tables
+    pieces = [head] + [sep] * (len(cols) - 1) + [tail]
+    width = sum(map(len, pieces)) + \
+        len(cols) * (low.shape[1] + high.shape[1])
+    out = np.empty((len(cols[0]), width), dtype=np.uint8)
+    at = 0
+    for i, piece in enumerate(pieces):
+        out[:, at:at + len(piece)] = np.frombuffer(piece.encode(), np.uint8)
+        at += len(piece)
+        if i < len(cols):
+            for table, idx in ((low, cols[i] % base), (high, cols[i] // base)):
+                out[:, at:at + table.shape[1]] = table[idx]
+                at += table.shape[1]
+    if not (low.all() and high.all()):
+        out = out[out != 0]
+    return out.tobytes().decode("ascii")
+
+
+def _write_rows(field, cols: list, head: str, sep: str, tail: str,
+                skip: int = 0) -> None:
+    """Write the rows of cols (see _render_rows) to stdout in blocks of
+    RENDER_BLOCK rows, leaving out the first skip characters."""
+    tables = field.text_tables()
+    for start in range(0, len(cols[0]), RENDER_BLOCK):
+        block = [c[start:start + RENDER_BLOCK] for c in cols]
+        sys.stdout.write(_render_rows(tables, block, head, sep, tail)[skip:])
+        skip = 0
+
+
+def _write_points(fmt: str, meta: dict, names: list, field,
+                  cols: list) -> None:
+    """Write an enumerate report whose points are the rows of the
+    checked coordinate columns cols: exactly _emit_json of the payload
+    {"meta", "points"}, or _emit_csv of names and the rows."""
+    if fmt == "csv":
+        sys.stdout.write(_emit_csv(meta, [names]))
+        # csv.writer quotes a field only when it holds a comma (m > 1)
+        quote = '"' if field.m > 1 else ""
+        _write_rows(field, cols, quote, f"{quote},{quote}", f"{quote}\n")
+        return
+    text = _emit_json({"meta": _json_meta(meta), "points": []})
+    if not len(cols[0]):
+        sys.stdout.write(text)
+        return
+    # the rows go inside the empty points list, which text ends with:
+    # each row is led by ",\n", of which the first row drops the comma
+    sys.stdout.write(text[:-len("]\n}\n")])
+    _write_rows(field, cols, ',\n    [\n      "', '",\n      "', '"\n    ]',
+                skip=1)
+    sys.stdout.write("\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +474,12 @@ def _cmd_enumerate(cfg: RunConfig) -> int:
     if cfg.supersingular_only:
         keep = supersingular(cfg.q, L, cols)
         cols = [c[keep] for c in cols]
-    rows = list(zip(*(L.serialize_ints(c) for c in cols)))
+    cols = [L.check_ints(c) for c in cols]
     meta = _meta(cfg, "enumerate", ctx)
     meta["field"] = L.serialize()
     meta["affine_only"] = True
-    meta["count"] = len(rows)
-    if cfg.format == "json":
-        payload = {"meta": _json_meta(meta), "points": rows}
-        sys.stdout.write(_emit_json(payload))
-    else:
-        sys.stdout.write(_emit_csv(meta, [names] + rows))
+    meta["count"] = len(cols[0])
+    _write_points(cfg.format, meta, names, L, cols)
     return EXIT_OK
 
 

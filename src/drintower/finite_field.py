@@ -39,6 +39,8 @@ multiplicative monomials through the tables, addition digit by digit
 (XOR for p = 2), and GF(p)-linear maps, among them GFpSolver over many
 right-hand sides at once, on base-p digit matrices processed in
 bounded chunks (for p = 2, by 256-entry tables per 8-bit slice).
+Element text for arrays comes from two byte tables over the low and
+high halves of the digits (FieldSpec.text_tables).
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ TABLE_BUDGET = 2**24
 SCALAR_TABLE_LIMIT = 2**16
 # rows of a base-p digit matrix held at once by the array helpers
 _CHUNK = 2**14
+# table entries computed or checked at once while building exp/log
+# tables, so the build holds no field-sized temporary
+_TABLE_CHUNK = 2**18
 
 
 class CapExceededError(RuntimeError):
@@ -311,6 +316,15 @@ def _halves(p: int, m: int) -> tuple:
             _digit_tuples(range(p**(m - h)), p, m - h))
 
 
+def _byte_table(texts: list):
+    """uint8 matrix holding one ASCII text per row, NUL-padded on the
+    right to the longest."""
+    import numpy as np
+    width = max(map(len, texts))
+    table = np.array([t.encode() for t in texts], dtype=f"S{max(width, 1)}")
+    return table.view(np.uint8).reshape(len(texts), -1)[:, :width]
+
+
 def gfp_apply(mat, p: int, vals):
     """mat @ v over GF(p) for every v in vals.
 
@@ -495,7 +509,8 @@ class FieldSpec:
 
         Multiplying by the constant g^b is a GF(p)-linear map, so each
         block is one matrix product on base-p digits, and the matrix of
-        g^(2b) is the square of the matrix of g^b.
+        g^(2b) is the square of the matrix of g^b.  Blocks are written,
+        and log is filled and checked, _TABLE_CHUNK entries at a time.
         """
         if self.size > TABLE_BUDGET:
             raise CapExceededError(
@@ -516,14 +531,21 @@ class FieldSpec:
         b = 1
         while b < order:
             k = min(b, order - b)
-            exp[b:b + k] = gfp_apply(step, p, exp[:k])
+            for lo in range(0, k, _TABLE_CHUNK):
+                hi = min(lo + _TABLE_CHUNK, k)
+                exp[b + lo:b + hi] = gfp_apply(step, p, exp[lo:hi])
             step = step @ step % p
             b *= 2
+        spans = [(lo, min(lo + _TABLE_CHUNK, order))
+                 for lo in range(0, order, _TABLE_CHUNK)]
         log = np.zeros(self.size, dtype=np.int32)
-        log[exp] = np.arange(order, dtype=np.int32)
+        for lo, hi in spans:
+            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
         # every nonzero element exactly once, and g^order = 1
         last = _digit_tuples(exp[-1:], p, m)[0]
-        if exp.min() < 1 or not np.array_equal(log[exp], np.arange(order)) \
+        if exp.min() < 1 or not all(
+                np.array_equal(log[exp[lo:hi]], np.arange(lo, hi))
+                for lo, hi in spans) \
                 or self._mul_generic(last, gen) != one:
             raise RuntimeError("discrete-log tables are not a bijection")
         self._decode = _halves(p, m)
@@ -638,17 +660,38 @@ class FieldSpec:
                for cs in _digit_tuples(uniq, self.p, self.m)]
         return [els[i] for i in where.tolist()]
 
-    def serialize_ints(self, vals) -> list:
-        """FieldElement.serialize of each encoding in vals, without
-        building elements: the text of the low half of the digits joined
-        to that of the high half, looked up in two short string lists."""
+    def check_ints(self, vals):
+        """vals as an int64 array; raises ValueError unless every value
+        is an encoding of this field, 0 <= n < size."""
         import numpy as np
         vals = np.asarray(vals, dtype=np.int64)
         if len(vals) and not (vals.min() >= 0 and vals.max() < self.size):
             raise ValueError("encoding out of range")
+        return vals
+
+    def text_tables(self) -> tuple:
+        """(base, low, high): FieldElement.serialize as two byte tables.
+
+        An encoding n splits as in _halves into n % base and n // base.
+        Row n % base of low holds the text of the low digits ("c0,c1")
+        and row n // base of high that of the high digits (",c2,c3"),
+        so the text of n is the two rows joined.  Both are uint8
+        matrices with rows NUL-padded on the right; padding occurs only
+        where digits differ in length, that is when p > 10.
+        """
         base, low, high = _halves(self.p, self.m)
-        low = [",".join(map(str, cs)) for cs in low]
-        high = ["".join("," + str(c) for c in cs) for cs in high]
+        return (base,
+                _byte_table([",".join(map(str, cs)) for cs in low]),
+                _byte_table(["".join("," + str(c) for c in cs)
+                             for cs in high]))
+
+    def serialize_ints(self, vals) -> list:
+        """FieldElement.serialize of each encoding in vals, without
+        building elements: the rows of text_tables as strings."""
+        vals = self.check_ints(vals)
+        base, low, high = self.text_tables()
+        low, high = ([row.tobytes().rstrip(b"\0").decode() for row in t]
+                     for t in (low, high))
         return [low[a] + high[b] for a, b in
                 zip((vals % base).tolist(), (vals // base).tolist())]
 

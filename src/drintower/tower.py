@@ -30,8 +30,8 @@ the tuple) leaves the coordinates Z_j = (x_{j-1} x_j)^(q-1), which obey
 
 and generate the quotient tower; enumerate_x0 walks that recursion
 directly.  Enumeration walks the whole field at once as arrays of
-integer encodings (see finite_field) and sorts the result
-lexicographically, so its order is deterministic.
+integer encodings (see finite_field) and keeps the rows in lexicographic
+order level by level, so its order is deterministic.
 """
 
 from __future__ import annotations
@@ -328,15 +328,10 @@ class X0Point:
 # enumeration: whole-field array walks over integer encodings
 # ---------------------------------------------------------------------------
 
-def _sorted_rows(cols: list) -> tuple:
-    """The columns reordered so their rows are in lexicographic order,
-    made read-only."""
-    import numpy as np
-    order = np.lexsort(cols[::-1])
-    out = tuple(c[order] for c in cols)
-    for c in out:
+def _read_only(cols: list) -> tuple:
+    for c in cols:
         c.flags.writeable = False
-    return out
+    return tuple(cols)
 
 
 def _xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
@@ -360,12 +355,26 @@ def _xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
         z = field.add_ints(
             np.repeat(solver.solve_ints(rhs[parent]), len(kernel)),
             np.tile(kernel, len(parent)))
+        del rhs
         parent = np.repeat(parent, len(kernel))
         live = z != 0
         parent, z = parent[live], z[live]
+        del live
+        new = field.power_product((z, 1), (last[parent], -1))
+        del z
+        # the rows of cols are in lexicographic order and parent is
+        # nondecreasing, so sorting by (parent, new) keeps the new rows
+        # in lexicographic order; the key stays below 2^63 for fewer
+        # than 2^39 rows, as size <= 2^24
+        key = parent * field.size
+        key += new
+        order = np.argsort(key, kind="stable")
+        del key
+        parent, new = parent[order], new[order]
+        del order
         cols = [c[parent] for c in cols]
-        cols.append(field.power_product((z, 1), (cols[-1], -1)))
-    return _sorted_rows(cols)
+        cols.append(new)
+    return _read_only(cols)
 
 
 def _check_xprime(q: int, field: FieldSpec, cols: tuple) -> None:
@@ -447,6 +456,12 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
     of the excluded -1, which is 0, is a branch lost to Z = -1; the
     excluded seed counts once more.  Cached for one field so that
     enumerate_x0 and degenerate_z_skips share a walk.
+
+    The rows come out in lexicographic order without a sort: the seeds
+    ascend, each frontier tuple's children follow it in frontier order,
+    and a bucket lists its members in ascending order because the
+    stable argsort keeps the ascending order of allowed among equal
+    keys.
     """
     import numpy as np
     _check_coordinate_field(q, field)
@@ -459,17 +474,24 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
         keys = _z_forward(q, field, allowed)
         by_key = np.argsort(keys, kind="stable")
         keys, members = keys[by_key], allowed[by_key]
+        del by_key
         for _ in range(n - 2):
             rhs = _z_backward(q, field, cols[-1])
             skipped += int(np.count_nonzero(rhs == 0))
             lo = np.searchsorted(keys, rhs, side="left")
             width = np.searchsorted(keys, rhs, side="right") - lo
-            parent = np.repeat(np.arange(len(rhs)), width)
+            del rhs
+            parent = np.repeat(np.arange(len(width)), width)
             offset = np.arange(len(parent)) - np.repeat(
                 np.cumsum(width) - width, width)
+            offset += np.repeat(lo, width)
+            del lo, width
             cols = [c[parent] for c in cols]
-            cols.append(members[np.repeat(lo, width) + offset])
-    cols = _sorted_rows(cols)
+            del parent
+            cols.append(members[offset])
+            del offset
+        del keys, members
+    cols = _read_only(cols)
     _check_x0(q, field, cols)
     return cols, skipped
 

@@ -1,9 +1,14 @@
+import csv
+import io
 import json
 import subprocess
 import sys
 import threading
 
+import pytest
+
 from drintower.cli import main
+from drintower.finite_field import TABLE_BUDGET, make_field
 
 
 def _run(capsys, *argv):
@@ -262,3 +267,53 @@ def test_emit_json_matches_json_dumps():
     assert _emit_json(other) == \
         json.dumps(other, indent=2, sort_keys=True) + "\n"
 
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 11, 17, 251)
+                                 for m in (1, 2, 5) if p**m <= TABLE_BUDGET])
+def test_point_blocks_match_json_dumps_and_csv_writer(p, m, capsys,
+                                                      monkeypatch):
+    # GF(251^5) is left out: no walk lists points past the table budget
+    import numpy as np
+    from drintower import cli
+    monkeypatch.setattr(cli, "RENDER_BLOCK", 5)
+    field = make_field(p, m)
+    rng = np.random.default_rng(100 * p + m)
+    meta = {"tool": "drintower", "count": 0,
+            "fields_used": {(p, m): field.serialize()}}
+    for width in (1, 2, 3):
+        names = [f"x{i}" for i in range(1, width + 1)]
+        for rows in (0, 1, 4, 5, 6, 17):
+            cols = [rng.integers(0, field.size, rows) for _ in range(width)]
+            points = [[field.from_int(int(v)).serialize() for v in row]
+                      for row in zip(*cols)]
+            cli._write_points("json", meta, names, field, cols)
+            assert capsys.readouterr().out == json.dumps(
+                {"meta": cli._json_meta(meta), "points": points},
+                indent=2, sort_keys=True) + "\n"
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([names] + points)
+            cli._write_points("csv", meta, names, field, cols)
+            assert capsys.readouterr().out == \
+                cli._emit_csv(meta, []) + buf.getvalue()
+
+
+def test_enumerate_writes_nothing_when_a_check_fails(capsys, monkeypatch):
+    import numpy as np
+    from drintower import cli
+
+    def refuse(*args):
+        raise RuntimeError("mask refused")
+
+    argv = ["enumerate", "--q", "2", "--n", "2", "--ext", "2"]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "xprime_supersingular_mask", refuse)
+        with pytest.raises(RuntimeError, match="mask refused"):
+            main(argv + ["--supersingular-only"])
+    assert capsys.readouterr().out == ""
+    size = make_field(2, 4).size
+    monkeypatch.setattr(cli, "xprime_columns", lambda q, n, field: (
+        np.array([1, 2]), np.array([3, size])))
+    with pytest.raises(ValueError, match="out of range"):
+        main(argv)
+    assert capsys.readouterr().out == ""

@@ -266,6 +266,16 @@ def test_tables_are_built_on_first_need():
     assert log[exp[7]] == 7
 
 
+@pytest.mark.parametrize("p,m", [(2, 12), (3, 7), (17, 3)])
+def test_tables_built_in_small_chunks_are_bit_identical(p, m, monkeypatch):
+    from drintower import finite_field
+    whole = FieldSpec(p, m, first_irreducible(p, m)).tables()
+    monkeypatch.setattr(finite_field, "_TABLE_CHUNK", 100)
+    chunked = FieldSpec(p, m, first_irreducible(p, m)).tables()
+    for a, b in zip(whole, chunked):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_tables_refused_past_budget():
     spec = FieldSpec(2, 25, first_irreducible(2, 25))
     with pytest.raises(CapExceededError, match="table budget"):

@@ -7,12 +7,20 @@ the first field of the matrix too large for the old 2^16 table cutoff.
 The last four cases (the x-coordinate supersingular mask, odd p in the
 JSON layout, the Z-coordinate mask in csv) were recorded from the
 renderer that built a point object per row, before enumerate rendered
-integer columns directly.
+integer columns directly.  The three after them (two-digit digits
+inside quoted CSV fields, the digit 10 in JSON, a supersingular csv
+listing for p = 13) were recorded from the string-list renderer, before
+enumerate wrote its rows as byte blocks.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +84,13 @@ GOLDEN = [
     (('enumerate', '--q', '5', '--n', '2', '--ext', '1', '--variant', 'x0',
       '--supersingular-only', '--format', 'csv'),
      "c547e379f2cf24eac8e5d2d8c47ef24bf0ae5b50af9338b6b4b7b7731af37814"),
+    (('enumerate', '--q', '17', '--n', '2', '--ext', '1', '--format', 'csv'),
+     "4f620cf325627ace810925faa458a851d39cd3205bd70563ac517e89e0b7ec18"),
+    (('enumerate', '--q', '11', '--n', '3', '--ext', '1', '--variant', 'x0'),
+     "6e427dbbc097bf6e8209dd5c5d1fd9354edfff23db221b7f521cb8064a5ff731"),
+    (('enumerate', '--q', '13', '--n', '2', '--ext', '1',
+      '--supersingular-only', '--format', 'csv'),
+     "8cfd6e1e90feab02439ca534cefbe2f35643f983d7cdb9f9ea0233da6b083b8d"),
 ]
 
 
@@ -109,3 +124,26 @@ def test_enumerate_builds_no_point_objects(monkeypatch):
         {(False, False), (False, True), (True, False), (True, True)}
     for argv, digest in cases:
         test_cli_stdout_matches_golden_hash(argv, digest)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = [(argv, digest) for argv, digest in GOLDEN if argv in (
+    ('enumerate', '--q', '2', '--n', '3', '--ext', '2'),
+    ('enumerate', '--q', '17', '--n', '2', '--ext', '1', '--format', 'csv'),
+    ('count', '--q', '2', '--n', '3', '--ext', '1..3'))]
+
+
+@pytest.mark.parametrize("argv,digest", TRACED,
+                         ids=[" ".join(argv) for argv, _ in TRACED])
+def test_traced_benchmark_cli_matches_golden_hash(argv, digest, tmp_path):
+    # the benchmark's traced runs wrap names inside the package: they
+    # must still find them, and stdout must not change under the tracer
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),
+         str(trace), "--", *argv],
+        capture_output=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    assert "cli.main" in json.loads(trace.read_text())["names"]

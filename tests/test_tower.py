@@ -473,6 +473,22 @@ def test_supersingular_masks_match_point_methods(q):
             assert 0 < sum(expected) < len(expected)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_walks_keep_rows_in_lexsort_order(q):
+    # the walks order rows level by level, without a final lexsort
+    import numpy as np
+    p, r = prime_power(q)
+    big = make_field(p, 6 * r)
+    for n in (2, 3, 4):
+        for columns in (xprime_columns, x0_columns):
+            cols = columns(q, n, big)
+            order = np.lexsort(cols[::-1])
+            assert len(order) > q
+            assert np.array_equal(order, np.arange(len(order)))
+            rows = np.stack(cols, axis=1)
+            assert len(np.unique(rows, axis=0)) == len(rows)
+
+
 def test_xprime_mask_rejects_supersingular_row_leaving_gf_q2():
     import numpy as np
     from drintower.tower import xprime_supersingular_mask
