@@ -16,7 +16,6 @@ from .finite_field import (
     embed,
     make_field,
     prime_power,
-    q_frobenius,
     subfield_elements,
     trace_to_subfield,
 )

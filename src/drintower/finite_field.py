@@ -1,9 +1,11 @@
 """Exact arithmetic in small finite fields GF(p^m).
 
-An element of GF(p^m) is a length-m tuple of integers modulo p, read as
-coefficients (c0, c1, ..., c_{m-1}) of 1, x, ..., x^{m-1} in the power
-basis of a root of a fixed monic irreducible modulus.  Everything is
-exact integer arithmetic; there are no floating point paths.
+An element of GF(p^m) is its integer encoding n = sum(c_i * p^i) of
+the coefficients (c0, c1, ..., c_{m-1}) of 1, x, ..., x^{m-1} in the
+power basis of a root of a fixed monic irreducible modulus; the array
+paths use the same encoding.  FieldElement.coeffs decodes the base-p
+digits for the linear algebra that needs them.  Everything is exact
+integer arithmetic; there are no floating point paths.
 
 Conventions that downstream code and the serialization formats rely on:
 
@@ -25,14 +27,15 @@ Discrete-log tables.  A field can carry exp/log tables: two int32
 numpy arrays indexed by the integer encoding, exp[i] = g^i for a
 primitive g and log[exp[i]] = i.  They cost 8 bytes per element, so
 TABLE_BUDGET = 2**24 elements is 128 MB.  Constructing a field builds
-no table and does not import numpy.  Tables are built on first need:
-by the first scalar product, inverse or power in a field of at most
-SCALAR_TABLE_LIMIT = 2**16 elements, and by the whole-field array walks
-of the tower and counting modules at any size up to TABLE_BUDGET; a
-walk over a larger field raises CapExceededError before allocating.
-Scalar operations in larger fields without tables take the schoolbook
-path, which stays the reference the table path is tested against
-(results are bit-identical).
+no table and does not import numpy.  Tables are built on first need,
+in any field of at most TABLE_BUDGET elements: by the first scalar
+product, inverse or power, or by the whole-field array walks of the
+tower and counting modules; a walk over a larger field raises
+CapExceededError before allocating.  Scalar operations past the budget
+take the schoolbook path on digit tuples, which stays the reference the
+table path is tested against (results are bit-identical).  The
+matrices of GF(p)-linear maps are built from schoolbook products too,
+so building a solver never builds tables by itself.
 
 The array helpers below work on numpy arrays of integer encodings:
 multiplicative monomials through the tables, addition digit by digit
@@ -50,7 +53,6 @@ from typing import Iterator, Optional, Sequence
 
 DEFAULT_CAP = 2**24
 TABLE_BUDGET = 2**24
-SCALAR_TABLE_LIMIT = 2**16
 # rows of a base-p digit matrix held at once by the array helpers
 _CHUNK = 2**14
 # table entries computed or checked at once while building exp/log
@@ -239,24 +241,25 @@ _LEX_FIRST: dict = {
 }
 
 
-def _int_to_coeffs(n: int, p: int) -> list:
+def _unpack(n: int, p: int, width: int) -> tuple:
+    """The first width base-p digits of n, lowest first."""
     out = []
-    while n:
-        out.append(n % p)
-        n //= p
-    return out
+    for _ in range(width):
+        n, c = divmod(n, p)
+        out.append(c)
+    return tuple(out)
 
 
 def first_irreducible(p: int, m: int) -> tuple:
     """Lexicographically first monic irreducible of degree m over GF(p)."""
     enc = _LEX_FIRST.get((p, m))
     if enc is not None:
-        return tuple(_int_to_coeffs(enc, p))
+        return _unpack(enc, p, m + 1)
     lead = p**m
     for low in range(lead):
-        cand = _int_to_coeffs(low + lead, p)
+        cand = _unpack(low + lead, p, m + 1)
         if is_irreducible(cand, p):
-            return tuple(cand)
+            return cand
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
@@ -297,23 +300,13 @@ def _digit_chunks(vals, p: int, width: int):
         yield rows, _digits(vals[rows], p, width)
 
 
-def _digit_tuples(vals, p: int, width: int) -> list:
-    """Coefficient tuples of a sequence of encodings."""
-    import numpy as np
-    vals = np.asarray(vals, dtype=np.int64)
-    out: list = []
-    for _, digits in _digit_chunks(vals, p, width):
-        out.extend(map(tuple, digits.tolist()))
-    return out
-
-
 def _halves(p: int, m: int) -> tuple:
     """(base, low, high) for splitting an encoding n into n % base and
     n // base: low and high list the digit tuples of the two halves, so
     the coefficients of n are low[n % base] + high[n // base]."""
     h = (m + 1) // 2
-    return (p**h, _digit_tuples(range(p**h), p, h),
-            _digit_tuples(range(p**(m - h)), p, m - h))
+    return (p**h, [_unpack(n, p, h) for n in range(p**h)],
+            [_unpack(n, p, m - h) for n in range(p**(m - h))])
 
 
 def _byte_table(texts: list):
@@ -414,16 +407,15 @@ class FieldSpec:
             cur = nxt
         self._red_rows = rows
         self._frob_cache: dict = {}
-        # exp/log tables (numpy int32) and the split decode lists of the
-        # scalar table path; all built together by _build_tables
+        # exp/log tables (numpy int32), built together by _build_tables
         self._exp = None
         self._log = None
-        self._decode: Optional[tuple] = None
 
     def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.m, self.modulus)
-                == (other.p, other.m, other.modulus))
+        return other is self or (
+            isinstance(other, FieldSpec)
+            and (self.p, self.m, self.modulus)
+            == (other.p, other.m, other.modulus))
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
@@ -444,14 +436,14 @@ class FieldSpec:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        cs = tuple(int(c) % self.p for c in coeffs)
+        cs = [int(c) % self.p for c in coeffs]
         if len(cs) != self.m:
             raise ValueError(f"need {self.m} coefficients, got {len(cs)}")
-        return FieldElement(self, cs)
+        return FieldElement(self, _encode(cs, self.p))
 
     def constant(self, c: int) -> "FieldElement":
         """Image of the integer c under the prime-subfield embedding."""
-        return FieldElement(self, (c % self.p,) + (0,) * (self.m - 1))
+        return FieldElement(self, c % self.p)
 
     def zero(self) -> "FieldElement":
         return self.constant(0)
@@ -463,20 +455,16 @@ class FieldSpec:
         """Inverse of FieldElement.to_int, the enumeration index."""
         if not 0 <= n < self.size:
             raise ValueError("index out of range")
-        cs = []
-        for _ in range(self.m):
-            cs.append(n % self.p)
-            n //= self.p
-        return FieldElement(self, tuple(cs))
+        return FieldElement(self, n)
 
     def elements(self) -> Iterator["FieldElement"]:
         """All p^m elements exactly once, in enumeration order."""
         for n in range(self.size):
-            yield self.from_int(n)
+            yield FieldElement(self, n)
 
     def nonzero_elements(self) -> Iterator["FieldElement"]:
         for n in range(1, self.size):
-            yield self.from_int(n)
+            yield FieldElement(self, n)
 
     def random_element(self, rng) -> "FieldElement":
         return self.from_int(rng.randrange(self.size))
@@ -485,6 +473,21 @@ class FieldSpec:
         return self.from_int(rng.randrange(1, self.size))
 
     # -- internal arithmetic -------------------------------------------------
+    # _add, _mul and _inv work on integer encodings; _mul_generic and
+    # _pow_generic on digit tuples, as the schoolbook reference
+
+    def _add(self, a: int, b: int, sign: int = 1) -> int:
+        """Encoding of a + sign * b: XOR for p = 2, else digit by digit."""
+        p = self.p
+        if p == 2:
+            return a ^ b
+        out, w = 0, 1
+        while a or b:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            out += (da + sign * db) % p * w
+            w *= p
+        return out
 
     def _mul_generic(self, a: tuple, b: tuple) -> tuple:
         p, m = self.p, self.m
@@ -520,14 +523,14 @@ class FieldSpec:
         p, m = self.p, self.m
         order = self.size - 1
         one = self.one().coeffs
-        gen = next(c for c in (self.from_int(n).coeffs
+        divisors = _prime_divisors(order)
+        gen = next(g for g in (FieldElement(self, n)
                                for n in range(1, self.size))
-                   if all(self._pow_generic(c, order // f) != one
-                          for f in _prime_divisors(order)))
+                   if all(self._pow_generic(g.coeffs, order // f) != one
+                          for f in divisors))
         exp = np.empty(order, dtype=np.int32)
         exp[0] = 1
-        step = np.array(self.multiplication_matrix(FieldElement(self, gen)),
-                        dtype=np.int64)
+        step = np.array(self.multiplication_matrix(gen), dtype=np.int64)
         b = 1
         while b < order:
             k = min(b, order - b)
@@ -542,13 +545,12 @@ class FieldSpec:
         for lo, hi in spans:
             log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
         # every nonzero element exactly once, and g^order = 1
-        last = _digit_tuples(exp[-1:], p, m)[0]
+        last = _unpack(exp.item(-1), p, m)
         if exp.min() < 1 or not all(
                 np.array_equal(log[exp[lo:hi]], np.arange(lo, hi))
                 for lo, hi in spans) \
-                or self._mul_generic(last, gen) != one:
+                or self._mul_generic(last, gen.coeffs) != one:
             raise RuntimeError("discrete-log tables are not a bijection")
-        self._decode = _halves(p, m)
         self._log = log
         self._exp = exp
 
@@ -564,35 +566,29 @@ class FieldSpec:
 
     def _has_tables(self) -> bool:
         """Whether scalar operations use the tables; the first one in a
-        field of at most SCALAR_TABLE_LIMIT elements builds them."""
-        if self._exp is None and self.size <= SCALAR_TABLE_LIMIT:
+        field of at most TABLE_BUDGET elements builds them."""
+        if self._exp is None and self.size <= TABLE_BUDGET:
             self._build_tables()
         return self._exp is not None
 
-    def _log_of(self, a: tuple) -> int:
-        return self._log.item(_encode(a, self.p))
-
-    def _exp_of(self, k: int) -> tuple:
-        """Coefficients of g^k, decoded through two short digit lists."""
-        base, low, high = self._decode
-        n = self._exp.item(k % (self.size - 1))
-        return low[n % base] + high[n // base]
-
-    def _mul(self, a: tuple, b: tuple) -> tuple:
+    def _mul(self, a: int, b: int) -> int:
         if self._exp is None and not self._has_tables():
-            return self._mul_generic(a, b)
-        if not (any(a) and any(b)):
-            return (0,) * self.m
-        return self._exp_of(self._log_of(a) + self._log_of(b))
+            p, m = self.p, self.m
+            return _encode(self._mul_generic(_unpack(a, p, m),
+                                             _unpack(b, p, m)), p)
+        if not (a and b):
+            return 0
+        return self._exp.item((self._log.item(a) + self._log.item(b))
+                              % (self.size - 1))
 
-    def _inv(self, a: tuple) -> tuple:
-        if not any(a):
+    def _inv(self, a: int) -> int:
+        if not a:
             raise ZeroDivisionError("division by zero in " + repr(self))
         if self._exp is not None or self._has_tables():
-            return self._exp_of(-self._log_of(a))
+            return self._exp.item(-self._log.item(a) % (self.size - 1))
         p = self.p
         # extended Euclid in GF(p)[x] against the modulus
-        r0, r1 = list(self.modulus), _ptrim(list(a))
+        r0, r1 = list(self.modulus), _ptrim(list(_unpack(a, p, self.m)))
         s0, s1 = [], [1]
         while r1:
             q, rem = _pdivmod(r0, r1, p)
@@ -603,7 +599,7 @@ class FieldSpec:
         # r0 = gcd, a nonzero constant since the modulus is irreducible
         lead_inv = pow(r0[-1], p - 2, p)
         s0 = _pmod([(c * lead_inv) % p for c in s0], list(self.modulus), p)
-        return tuple(s0 + [0] * (self.m - len(s0)))
+        return _encode(s0, p)
 
     # -- whole-field arrays of integer encodings ------------------------------
 
@@ -652,13 +648,10 @@ class FieldSpec:
         return out
 
     def elements_at(self, vals) -> list:
-        """FieldElements for an array of encodings, one object per value."""
+        """FieldElements for an array of encodings."""
         import numpy as np
-        uniq, where = np.unique(np.asarray(vals, dtype=np.int64),
-                                return_inverse=True)
-        els = [FieldElement(self, cs)
-               for cs in _digit_tuples(uniq, self.p, self.m)]
-        return [els[i] for i in where.tolist()]
+        return [FieldElement(self, n)
+                for n in np.asarray(vals, dtype=np.int64).tolist()]
 
     def check_ints(self, vals):
         """vals as an int64 array; raises ValueError unless every value
@@ -706,14 +699,14 @@ class FieldSpec:
         if k == 0:
             mat = gfp_identity(self.m)
         elif k == 1:
+            # schoolbook products, as in multiplication_matrix; m >= 2
+            # here, since k is reduced mod m
             cols = []
-            base_x = self.element((0, 1) + (0,) * (self.m - 2)) \
-                if self.m > 1 else self.one()
-            xpow = base_x**self.p if self.m > 1 else self.one()
-            cur = self.one()
+            xpow = self._pow_generic((0, 1) + (0,) * (self.m - 2), self.p)
+            cur = self.one().coeffs
             for _ in range(self.m):
-                cols.append(cur.coeffs)
-                cur = cur * xpow
+                cols.append(cur)
+                cur = self._mul_generic(cur, xpow)
             mat = [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
         else:
             mat = gfp_matmul(self.frobenius_matrix(1),
@@ -733,13 +726,19 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of a FieldSpec; a small immutable value."""
+    """An element of a FieldSpec, held as its integer encoding n; a
+    small immutable value."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "n")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple):
+    def __init__(self, spec: FieldSpec, n: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.n = n
+
+    @property
+    def coeffs(self) -> tuple:
+        """The base-p digits of the encoding, (c0, ..., c_{m-1})."""
+        return _unpack(self.n, self.spec.p, self.spec.m)
 
     # -- housekeeping ---------------------------------------------------------
 
@@ -754,20 +753,20 @@ class FieldElement:
         return spec.element([int(c) for c in text.split(",")])
 
     def to_int(self) -> int:
-        return _encode(self.coeffs, self.spec.p)
+        return self.n
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self.n))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.coeffs == other.coeffs
+            return self.spec == other.spec and self.n == other.n
         if isinstance(other, int):
-            return self == self.spec.constant(other)
+            return self.n == other % self.spec.p
         return NotImplemented
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.n != 0
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -786,23 +785,18 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.spec.p
-        return FieldElement(self.spec, tuple(
-            (a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElement(self.spec, self.spec._add(self.n, o.n))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.spec, self.spec._add(0, self.n, -1))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.spec.p
-        return FieldElement(self.spec, tuple(
-            (a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElement(self.spec, self.spec._add(self.n, o.n, -1))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -811,12 +805,12 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.spec, self.spec._mul(self.coeffs, o.coeffs))
+        return FieldElement(self.spec, self.spec._mul(self.n, o.n))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec._inv(self.coeffs))
+        return FieldElement(self.spec, self.spec._inv(self.n))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -828,56 +822,32 @@ class FieldElement:
         o = self._coerce(other)
         return o * self.inverse()
 
-    def __pow__(self, n: int):
+    def __pow__(self, k: int):
         spec = self.spec
         if spec._exp is not None or spec._has_tables():
-            if not self:
-                if n == 0:
+            if not self.n:
+                if k == 0:
                     return spec.one()
-                if n < 0:
+                if k < 0:
                     raise ZeroDivisionError(
                         "negative power of zero in " + repr(spec))
                 return self
-            return FieldElement(
-                spec, spec._exp_of(spec._log_of(self.coeffs) * n))
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return FieldElement(spec, spec._exp.item(
+                spec._log.item(self.n) * k % (spec.size - 1)))
+        if k < 0:
+            return self.inverse() ** (-k)
+        return FieldElement(spec, _encode(
+            spec._pow_generic(self.coeffs, k), spec.p))
 
     def frobenius(self, q: int, e: int = 1) -> "FieldElement":
         """a^(q^e) for q a power of the characteristic."""
-        pr = prime_power(q)
-        if pr is None or pr[0] != self.spec.p:
-            raise ValueError(f"{q} is not a power of {self.spec.p}")
-        out = self
-        for _ in range(e):
-            out = out**q
-        return out
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch form of the four field operations."""
-    table = {"add": FieldElement.__add__, "sub": FieldElement.__sub__,
-             "mul": FieldElement.__mul__, "div": FieldElement.__truediv__}
-    try:
-        fn = table[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    out = fn(a, b)
-    if out is NotImplemented:
-        raise ValueError("operands not compatible")
-    return out
-
-
-def q_frobenius(a: FieldElement, q: int, e: int = 1) -> FieldElement:
-    return a.frobenius(q, e)
+        p = self.spec.p
+        r = q
+        while r >= p and r % p == 0:
+            r //= p
+        if r != 1 or q < p:
+            raise ValueError(f"{q} is not a power of {p}")
+        return self ** q**e
 
 
 # ---------------------------------------------------------------------------
@@ -886,35 +856,23 @@ def q_frobenius(a: FieldElement, q: int, e: int = 1) -> FieldElement:
 
 @functools.lru_cache(maxsize=256)
 def _embedding_powers(source: FieldSpec, target: FieldSpec) -> tuple:
-    """Powers (r^0, ..., r^{m-1}) of the chosen root of source.modulus."""
+    """Digit tuples of the powers (r^0, ..., r^{m-1}) of the root r of
+    source.modulus in target that comes first in enumeration order.
+
+    Schoolbook products, so embedding builds no table in target.
+    """
     if source.p != target.p or target.m % source.m:
         raise ValueError(
             f"no embedding of {source!r} into {target!r}")
-    if source == target:
-        base = source.element((0, 1) + (0,) * (source.m - 2)) \
-            if source.m > 1 else source.one()
-        root = base
-    else:
-        candidates = subfield_elements(target, source.p**source.m)
-        roots = []
-        for y in candidates:
-            acc = target.zero()
-            ypow = target.one()
-            for c in source.modulus:
-                if c:
-                    acc = acc + ypow * c
-                ypow = ypow * y
-            if not acc:
-                roots.append(y)
-        if not roots:
-            raise RuntimeError("source modulus has no root in target")
-        root = min(roots, key=FieldElement.to_int)
-    powers = []
-    cur = target.one() if source != target else source.one()
-    for _ in range(source.m):
-        powers.append(cur)
-        cur = cur * root
-    return tuple(powers)
+    p = target.p
+    for y in subfield_elements(target, source.size):
+        powers = [target.one().coeffs]
+        for _ in range(source.m):
+            powers.append(target._mul_generic(powers[-1], y.coeffs))
+        if not any(sum(c * pw[j] for c, pw in zip(source.modulus, powers))
+                   % p for j in range(target.m)):
+            return tuple(powers[:-1])
+    raise RuntimeError("source modulus has no root in target")
 
 
 def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
@@ -922,25 +880,22 @@ def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
     if a.spec == target:
         return a
     powers = _embedding_powers(a.spec, target)
-    acc = target.zero()
-    p = target.p
-    for c, pw in zip(a.coeffs, powers):
-        if c:
-            acc = acc + FieldElement(
-                target, tuple((c * x) % p for x in pw.coeffs))
-    return acc
+    p, cs = target.p, a.coeffs
+    return FieldElement(target, _encode(
+        [sum(c * x for c, x in zip(cs, row)) % p for row in zip(*powers)],
+        p))
 
 
 @functools.lru_cache(maxsize=16)
 def _embedding_section(source: FieldSpec, target: FieldSpec) -> dict:
-    return {embed(y, target).coeffs: y for y in source.elements()}
+    return {embed(y, target).n: y for y in source.elements()}
 
 
 def project(a: FieldElement, target: FieldSpec) -> FieldElement:
     """Inverse of embed for values that lie in the embedded subfield."""
     sec = _embedding_section(target, a.spec)
     try:
-        return sec[a.coeffs]
+        return sec[a.n]
     except KeyError:
         raise ValueError(f"{a!r} is not in the embedded copy of {target!r}")
 
@@ -956,24 +911,14 @@ def subfield_elements(spec: FieldSpec, q: int) -> tuple:
     pr = prime_power(q)
     if pr is None or pr[0] != spec.p or spec.m % pr[1]:
         raise ValueError(f"GF({q}) is not a subfield of {spec!r}")
-    r = pr[1]
-    fr = spec.frobenius_matrix(r)
-    mat = [row[:] for row in fr]
+    mat = [row[:] for row in spec.frobenius_matrix(pr[1])]
     for i in range(spec.m):
         mat[i][i] = (mat[i][i] - 1) % spec.p
-    basis = gfp_nullspace(mat, spec.p)
-    out = []
-    for combo in _iter_combinations(len(basis), spec.p):
-        vec = [0] * spec.m
-        for c, bvec in zip(combo, basis):
-            if c:
-                for i in range(spec.m):
-                    vec[i] = (vec[i] + c * bvec[i]) % spec.p
-        out.append(FieldElement(spec, tuple(vec)))
-    out.sort(key=FieldElement.to_int)
+    out = tuple(FieldElement(spec, n)
+                for n in sorted(GFpSolver(mat, spec.p).nullspace_ints()))
     if len(out) != q:
         raise RuntimeError("subfield solve returned a wrong-size space")
-    return tuple(out)
+    return out
 
 
 def trace_to_subfield(a: FieldElement, sub: FieldSpec) -> FieldElement:
@@ -986,21 +931,6 @@ def trace_to_subfield(a: FieldElement, sub: FieldSpec) -> FieldElement:
     if r.frobenius(q) != r:
         raise RuntimeError("trace did not land in the subfield")
     return project(r, sub)
-
-
-def _iter_combinations(k: int, p: int):
-    combo = [0] * k
-    while True:
-        yield tuple(combo)
-        i = 0
-        while i < k:
-            combo[i] += 1
-            if combo[i] < p:
-                break
-            combo[i] = 0
-            i += 1
-        if i == k:
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -1026,43 +956,6 @@ def gfp_matmul(a: list, b: list, p: int) -> list:
             orow.append(s % p)
         out.append(orow)
     return out
-
-
-def gfp_nullspace(mat: list, p: int) -> list:
-    """Basis of the right null space of mat over GF(p)."""
-    if not mat:
-        return []
-    rows = [row[:] for row in mat]
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [(x - c * y) % p
-                           for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rows[r][fc]) % p
-        basis.append(vec)
-    return basis
 
 
 class GFpSolver:
@@ -1099,7 +992,15 @@ class GFpSolver:
         self.pivots = pivots
         self.reduced = [row[:ncols] for row in aug]
         self.transform = [row[ncols:] for row in aug]
-        self.nullspace = gfp_nullspace(mat, p) if mat else []
+        # null-space basis off the reduced rows: one vector per free column
+        self.nullspace = []
+        for fc in range(ncols):
+            if fc not in pivots:
+                vec = [0] * ncols
+                vec[fc] = 1
+                for r, pc in enumerate(pivots):
+                    vec[pc] = (-self.reduced[r][fc]) % p
+                self.nullspace.append(vec)
 
     def solve(self, rhs: list):
         """One particular solution, or None when the system is inconsistent."""
@@ -1138,11 +1039,11 @@ class GFpSolver:
         return gfp_apply(mat, self.p, rhs)
 
     def nullspace_ints(self) -> list:
-        """Every vector of the null space, in the integer encoding."""
-        p = self.p
-        out = []
-        for combo in _iter_combinations(len(self.nullspace), p):
-            vec = [sum(c * b[i] for c, b in zip(combo, self.nullspace)) % p
-                   for i in range(self.ncols)]
-            out.append(_encode(vec, p))
-        return out
+        """Every vector of the null space, in the integer encoding: the
+        images of the coefficient vectors 0, 1, ..., p^k - 1 (lowest
+        digit first) under the k basis vectors."""
+        import numpy as np
+        k = len(self.nullspace)
+        basis = np.array(self.nullspace, dtype=np.int64).reshape(
+            k, self.ncols)
+        return gfp_apply(basis.T, self.p, np.arange(self.p**k)).tolist()

@@ -36,7 +36,6 @@ from .finite_field import (
     make_field,
     prime_power,
     subfield_elements,
-    _iter_combinations,
 )
 
 # materializing a kernel with more elements than this is refused;
@@ -255,19 +254,10 @@ class LinearizedPoly:
         return preimages(self, c, field)
 
 
-def _materialize_space(field: FieldSpec, basis: list) -> set:
-    p, M = field.p, field.m
-    if p ** len(basis) > _KERNEL_ENUM_LIMIT:
+def _materialize_space(field: FieldSpec, solver: GFpSolver) -> set:
+    if field.p ** len(solver.nullspace) > _KERNEL_ENUM_LIMIT:
         raise ValueError("kernel too large to materialize as a set")
-    out = set()
-    for combo in _iter_combinations(len(basis), p):
-        vec = [0] * M
-        for c, bvec in zip(combo, basis):
-            if c:
-                for i in range(M):
-                    vec[i] = (vec[i] + c * bvec[i]) % p
-        out.add(FieldElement(field, tuple(vec)))
-    return out
+    return {FieldElement(field, n) for n in solver.nullspace_ints()}
 
 
 @functools.lru_cache(maxsize=4096)
@@ -287,7 +277,7 @@ def kernel_in(u: LinearizedPoly, field: FieldSpec) -> set:
         warnings.warn(
             "kernel of an inseparable polynomial returned as a plain "
             "root set", InseparableKernelWarning, stacklevel=2)
-    ker = _materialize_space(field, _solver_for(u, field).nullspace)
+    ker = _materialize_space(field, _solver_for(u, field))
     _check_q_space(ker, field, u.q)
     return ker
 
@@ -310,8 +300,8 @@ def preimages(u: LinearizedPoly, c: FieldElement, field: FieldSpec) -> set:
     particular = solver.solve(list(c.coeffs))
     if particular is None:
         return set()
-    x0 = FieldElement(field, tuple(particular))
-    return {x0 + k for k in _materialize_space(field, solver.nullspace)}
+    x0 = field.element(particular)
+    return {x0 + k for k in _materialize_space(field, solver)}
 
 
 def _check_q_space(ker: set, field: FieldSpec, q: int) -> None:

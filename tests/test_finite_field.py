@@ -10,14 +10,12 @@ from drintower.finite_field import (
     FieldSpec,
     GFpSolver,
     _LEX_FIRST,
-    arith,
     embed,
     first_irreducible,
     is_irreducible,
     make_field,
     prime_power,
     project,
-    q_frobenius,
     subfield_elements,
     trace_to_subfield,
 )
@@ -28,6 +26,18 @@ def _int_encode(coeffs, p):
     for c in reversed(coeffs):
         n = n * p + c
     return n
+
+
+def test_lex_first_moduli_against_sympy():
+    # every frozen entry is irreducible by sympy's independent test, and
+    # every monic polynomial of its degree with a smaller encoding is not
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    for (p, m), enc in _LEX_FIRST.items():
+        for n in range(p**m, enc + 1):
+            big_endian = [n // p**i % p for i in range(m, -1, -1)]
+            assert gt.gf_irreducible_p(big_endian, p, ZZ) == (n == enc), \
+                (p, m, n)
 
 
 def test_make_field_unique_quadratic_over_gf2():
@@ -83,10 +93,6 @@ def test_arith_examples():
     gf9 = make_field(3, 2)
     i = gf9.element((0, 1))
     assert i * i == gf9.constant(2)          # i^2 = -1 = 2
-    assert arith(w, w, "mul") == w * w
-    assert arith(w, w, "add") == gf4.zero()
-    with pytest.raises(ValueError):
-        arith(w, w, "nope")
 
 
 def test_arith_mismatched_specs():
@@ -107,13 +113,28 @@ def test_division_by_zero():
 def test_frobenius_examples():
     gf4 = make_field(2, 2)
     w = gf4.from_int(2)
-    assert q_frobenius(w, 2) == w * w
-    assert q_frobenius(w, 2, 0) == w
-    assert q_frobenius(w, 2, 2) == w
-    with pytest.raises(ValueError, match="not a power"):
-        q_frobenius(w, 3)
-    with pytest.raises(ValueError, match="not a power"):
-        q_frobenius(w, 6)
+    assert w.frobenius(2) == w * w
+    assert w.frobenius(2, 0) == w
+    assert w.frobenius(2, 2) == w
+    for q in (3, 6, 1, 0, -2):
+        with pytest.raises(ValueError, match="not a power"):
+            w.frobenius(q)
+
+
+@pytest.mark.parametrize("p,m,q", [(2, 6, 2), (2, 6, 4), (2, 6, 8),
+                                   (3, 4, 3), (3, 4, 9), (5, 2, 5),
+                                   (2, 25, 2)])
+def test_frobenius_is_e_fold_powering(p, m, q):
+    # one power a^(q^e) against e successive q-th powers, with and
+    # without tables (GF(2^25) lies past the table budget)
+    spec = make_field(p, m, cap=2**25)
+    rng = random.Random(f"frobenius {p}^{m}:{q}")
+    for a in [spec.zero(), spec.one()] + [spec.random_nonzero(rng)
+                                          for _ in range(20)]:
+        want = a
+        for e in range(4):
+            assert a.frobenius(q, e) == want
+            want = want ** q
 
 
 def test_trace_examples():
@@ -193,7 +214,7 @@ def test_log_table_path_bit_identical(p, m):
     els = list(spec.elements())
     for a in els:
         for b in els:
-            assert spec._mul(a.coeffs, b.coeffs) == \
+            assert spec.from_int(spec._mul(a.n, b.n)).coeffs == \
                 spec._mul_generic(a.coeffs, b.coeffs)
     rng = random.Random(p + m)
     for _ in range(500):
@@ -233,11 +254,13 @@ def test_table_path_matches_schoolbook_sampled(p, m, default_modulus):
     order = spec.size - 1
     rng = random.Random(f"{p}^{m}:{default_modulus}")
     for _ in range(10**4):
-        a = spec.random_element(rng).coeffs
-        b = spec.random_element(rng).coeffs
-        assert spec._mul(a, b) == spec._mul_generic(a, b)
-        if any(a):
-            assert spec._mul_generic(a, spec._inv(a)) == one
+        a = spec.random_element(rng)
+        b = spec.random_element(rng)
+        assert spec.from_int(spec._mul(a.n, b.n)).coeffs == \
+            spec._mul_generic(a.coeffs, b.coeffs)
+        if a:
+            inv = spec.from_int(spec._inv(a.n)).coeffs
+            assert spec._mul_generic(a.coeffs, inv) == one
     for _ in range(100):
         a = spec.random_nonzero(rng)
         n = rng.randrange(-3 * spec.size, 3 * spec.size)
@@ -252,18 +275,55 @@ def test_table_path_matches_schoolbook_sampled(p, m, default_modulus):
 
 
 def test_tables_are_built_on_first_need():
-    small = FieldSpec(2, 4, (1, 1, 0, 0, 1))
-    assert small._exp is None
-    a = small.from_int(5)
-    assert (a * a).coeffs == small._mul_generic(a.coeffs, a.coeffs)
-    assert small._exp is not None     # the first product built them
-    big = FieldSpec(17, 4, (3, 0, 0, 0, 1))
-    b = big.from_int(12345)
-    assert (b * b).coeffs == big._mul_generic(b.coeffs, b.coeffs)
-    assert big._exp is None           # above 2^16: schoolbook products
-    exp, log = big.tables()
-    assert big._exp is exp and len(exp) == big.size - 1
-    assert log[exp[7]] == 7
+    # one limit: the first product in any field within the table budget
+    # builds the tables (past it, see test_tables_refused_past_budget)
+    for spec, n in ((FieldSpec(2, 4, (1, 1, 0, 0, 1)), 5),
+                    (FieldSpec(17, 4, (3, 0, 0, 0, 1)), 12345)):
+        assert spec._exp is None
+        a = spec.from_int(n)
+        assert (a * a).coeffs == spec._mul_generic(a.coeffs, a.coeffs)
+        assert spec._exp is not None  # the first product built them
+        exp, log = spec.tables()
+        assert spec._exp is exp and len(exp) == spec.size - 1
+        assert log[exp[7]] == 7
+
+
+def test_linear_maps_build_no_tables():
+    # solver matrices, subfields and embeddings take schoolbook
+    # products; a modulus no other test uses keeps the caches cold
+    from drintower.linearized import LinearizedPoly, _solver_for
+    spec = FieldSpec(2, 12, (1, 1, 1, 0, 1) + (0,) * 7 + (1,))
+    u = LinearizedPoly.from_ints(4, spec, [1, 1])
+    assert len(_solver_for(u, spec).nullspace) == 2
+    assert len(subfield_elements(spec, 16)) == 16
+    w = embed(make_field(2, 2).from_int(2), spec)
+    assert spec._exp is None
+    assert w * w + w == spec.one()
+
+
+def test_table_path_never_encodes_digits(monkeypatch):
+    # with tables, products, inverses and powers work on the integer
+    # encoding alone: no digit tuple is turned back into an encoding
+    from drintower import finite_field
+    spec = make_field(3, 5)
+    spec.tables()
+    rng = random.Random(35)
+    pairs = [(spec.random_nonzero(rng), spec.random_element(rng))
+             for _ in range(200)]
+    want = [(spec._mul_generic(a.coeffs, b.coeffs),
+             spec._pow_generic(a.coeffs, spec.size - 2),
+             spec._pow_generic(b.coeffs, 5)) for a, b in pairs]
+
+    def refuse(*args):
+        raise AssertionError("a digit tuple was encoded")
+
+    monkeypatch.setattr(finite_field, "_encode", refuse)
+    for (a, b), (prod, inv, fifth) in zip(pairs, want):
+        assert (a * b).coeffs == prod
+        assert a.inverse().coeffs == inv
+        assert (b ** 5).coeffs == fifth
+        assert a ** -1 == a.inverse() and (b / a) * a == b
+        assert a.frobenius(3, 2) == a ** 9
 
 
 @pytest.mark.parametrize("p,m", [(2, 12), (3, 7), (17, 3)])
@@ -326,6 +386,41 @@ def test_solver_arrays_match_scalar_solve(p, rows, cols):
         vec = [k // p**i % p for i in range(cols)]
         assert all(sum(x * y for x, y in zip(row, vec)) % p == 0
                    for row in mat)
+
+
+def _brute_kernel(mat, p):
+    cols = len(mat[0])
+    return {v for v in itertools.product(range(p), repeat=cols)
+            if all(sum(a * x for a, x in zip(row, v)) % p == 0
+                   for row in mat)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solver_nullspace_spans_brute_force_kernel(p):
+    rng = random.Random(f"nullspace {p}")
+    mats = [[[0] * 4 for _ in range(3)], [[0, 0]]]   # zero matrices
+    for rows, cols in [(3, 3), (2, 5), (1, 6), (4, 2), (5, 5), (3, 6)]:
+        mat = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        mats.append(mat)
+        # rank-deficient: a row that is a combination of two others, and
+        # a zero column
+        deficient = [row[:] for row in mat] + [
+            [(a + (p - 1) * b) % p for a, b in zip(mat[0], mat[-1])]]
+        for row in deficient:
+            row[rng.randrange(cols)] = 0
+        mats.append(deficient)
+    for mat in mats:
+        cols = len(mat[0])
+        solver = GFpSolver(mat, p)
+        basis = solver.nullspace
+        span = {tuple(sum(c * b[i] for c, b in zip(combo, basis)) % p
+                      for i in range(cols))
+                for combo in itertools.product(range(p), repeat=len(basis))}
+        assert span == _brute_kernel(mat, p)
+        assert len(span) == p ** len(basis)        # the basis is free
+        assert solver.rank + len(basis) == cols
+        assert sorted(solver.nullspace_ints()) == sorted(
+            sum(c * p**i for i, c in enumerate(v)) for v in span)
 
 
 def test_embed_examples():

@@ -10,7 +10,9 @@ renderer that built a point object per row, before enumerate rendered
 integer columns directly.  The three after them (two-digit digits
 inside quoted CSV fields, the digit 10 in JSON, a supersingular csv
 listing for p = 13) were recorded from the string-list renderer, before
-enumerate wrote its rows as byte blocks.
+enumerate wrote its rows as byte blocks.  The two `verify` cases for
+q = 4 and 5 were recorded while field elements still held coefficient
+tuples, before they became integer encodings.
 """
 
 import contextlib
@@ -91,6 +93,10 @@ GOLDEN = [
     (('enumerate', '--q', '13', '--n', '2', '--ext', '1',
       '--supersingular-only', '--format', 'csv'),
      "8cfd6e1e90feab02439ca534cefbe2f35643f983d7cdb9f9ea0233da6b083b8d"),
+    (('verify', '--q', '4'),
+     "349a1f91fd545c70e2bef9866b4ce200393639c7ed5ce3401dc82523fe4e47e2"),
+    (('verify', '--q', '5'),
+     "4773e1fc9718693656ea1445842d4fbca97ae3e284d7d3a584ced53315eeebe7"),
 ]
 
 
