@@ -6,10 +6,12 @@ quadratic level).  Configuration precedence is flags over config file
 over defaults; the config file is a flat key = value text file whose
 keys mirror the long flag names.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 field-size cap exceeded.  Identical configuration produces
-byte-identical output.  --workers is accepted for compatibility and
-ignored: the whole-field walks run as array code in one thread.
+Exit codes: 0 success, 1 verification failure (a failed identity in
+verify, a nonzero exact residual in zeta; the report is written either
+way), 2 usage error, 3 field-size cap exceeded.  Identical
+configuration produces byte-identical output.  --workers is accepted
+for compatibility and ignored: the whole-field walks run as array code
+in one thread.
 
 enumerate works on the sorted, relation-checked integer coordinate
 columns of the tower walks, and no per-point TowerPoint, X0Point or
@@ -20,8 +22,8 @@ same renderers as every other report.  The points follow in blocks of
 RENDER_BLOCK rows, each rendered as one uint8 matrix from the byte
 tables of FieldSpec.text_tables in the exact layout of json.dumps
 (indent 2) or csv.writer, so the process holds the columns and one
-block of text, never the whole listing.  verify still works on point
-objects.
+block of text, never the whole listing.  verify checks the walk's
+columns through the same row masks that the walks raise on.
 """
 
 from __future__ import annotations
@@ -48,11 +50,14 @@ from .tower import (
     enumerate_xprime,
     kernel_line_poly,
     quotient_torsion_poly,
+    project_columns_to_x0,
     supersingular_z_values,
     torsion_poly,
     x0_columns,
+    x0_recursion_mask,
     x0_supersingular_mask,
     xprime_columns,
+    xprime_relation_mask,
     xprime_supersingular_mask,
 )
 
@@ -321,65 +326,46 @@ def _write_points(fmt: str, meta: dict, names: list, field,
 
 def _suite_factorizations(q, big):
     cases = 0
-    failures = []
+    forward, reverse = [], []
     for x in big.nonzero_elements():
         cases += 1
-        if cofactor_poly(x, q) * kernel_line_poly(x, q) != torsion_poly(x, q):
-            failures.append({"x": x.serialize()})
-    return cases, failures
-
-
-def _suite_reverse_factorizations(q, big):
-    cases = 0
-    failures = []
-    for x in big.nonzero_elements():
-        cases += 1
-        composed = kernel_line_poly(x, q) * cofactor_poly(x, q)
-        built = quotient_torsion_poly(x, q)
+        kernel, cofactor = kernel_line_poly(x, q), cofactor_poly(x, q)
+        if cofactor * kernel != torsion_poly(x, q):
+            forward.append({"x": x.serialize()})
+        composed = kernel * cofactor
         mid = x ** (q - 1) - x ** (q - q * q)
-        if composed != built or composed.coeffs[1] != mid:
-            failures.append({"x": x.serialize()})
-    return cases, failures
+        if composed != quotient_torsion_poly(x, q) or \
+                composed.coeffs[1] != mid:
+            reverse.append({"x": x.serialize()})
+    return (cases, forward), (cases, reverse)
 
 
-def _suite_swap(q, points):
+def _suite_pairs(q, points):
     cases = 0
-    failures = []
+    swap, shift = [], []
     for pt in points:
         for xa, xb in zip(pt.coords, pt.coords[1:]):
             cases += 1
+            torsion = torsion_poly(xb, q)
             left = cofactor_poly(xb, q) * kernel_line_poly(xb, q)
             right = kernel_line_poly(xa, q) * cofactor_poly(xa, q)
-            if not (left == right == torsion_poly(xb, q)):
-                failures.append({"point": pt.serialize()})
-    return cases, failures
+            if not (left == right == torsion):
+                swap.append({"point": pt.serialize()})
+            if quotient_torsion_poly(xa, q) != torsion:
+                shift.append({"point": pt.serialize()})
+    return (cases, swap), (cases, shift)
 
 
-def _suite_shift(q, points):
-    cases = 0
-    failures = []
-    for pt in points:
-        for xa, xb in zip(pt.coords, pt.coords[1:]):
-            cases += 1
-            if quotient_torsion_poly(xa, q) != torsion_poly(xb, q):
-                failures.append({"point": pt.serialize()})
-    return cases, failures
-
-
-def _suite_z_recursion(q, points, k1):
-    one = k1.one()
-    cases = 0
-    failures = []
-    for pt in points:
-        zs = pt.project_to_x0().zcoords
-        for za, zb in zip(zs, zs[1:]):
-            cases += 1
-            if zb * (one + zb) ** (q - 1) != \
-                    za.frobenius(q) / (one + za) ** (q - 1):
-                failures.append({"point": pt.serialize()})
+def _suite_z_recursion(q, cols, k1):
+    import numpy as np
+    zcols = project_columns_to_x0(q, k1, cols)
+    # one case per consecutive Z pair of each point, point-major
+    failed = ~np.column_stack([x0_recursion_mask(q, k1, zcols[j:j + 2])
+                               for j in range(len(zcols) - 1)])
+    failures = [{"point": k1.serialize_ints([c[row] for c in cols])}
+                for row in np.nonzero(failed)[0]]
     # enumerate_x0 checks the recursion on every tuple it returns
-    cases += len(enumerate_x0(q, 3, k1))
-    return cases, failures
+    return failed.size + len(enumerate_x0(q, 3, k1)), failures
 
 
 def _suite_z_set(q, k1):
@@ -390,26 +376,29 @@ def _suite_z_set(q, k1):
     return 1, [] if len(zset) == q else [{"size": len(zset)}]
 
 
-def _suite_action(q, points, k1):
+def _suite_action(q, cols, sample, k1):
+    import numpy as np
     scalars = list(k1.nonzero_elements())
-    cases = 0
-    failures = []
-    for pt in points:
-        base = pt.project_to_x0()
-        for c in scalars:
-            cases += 1
-            moved = pt.act(c)
-            if moved.project_to_x0() != base:
-                failures.append({"point": pt.serialize(),
-                                 "c": c.serialize()})
-    sample = points[0]
+    base = project_columns_to_x0(q, k1, cols)
+    # a case per (point, c): the scaled row stays on the tower and keeps
+    # its Z-coordinates; one column per c, so failures are point-major
+    failed = np.empty((len(cols[0]), len(scalars)), dtype=bool)
+    for k, c in enumerate(scalars):
+        factors = (c.to_int(), c.frobenius(q).to_int())
+        moved = [k1.power_product((col, 1), (factors[j % 2], 1))
+                 for j, col in enumerate(cols)]
+        failed[:, k] = ~xprime_relation_mask(q, k1, moved) | \
+            np.logical_or.reduce([a != b for a, b in zip(
+                project_columns_to_x0(q, k1, moved), base)])
+    failures = [{"point": k1.serialize_ints([c[row] for c in cols]),
+                 "c": scalars[k].serialize()}
+                for row, k in zip(*np.nonzero(failed))]
     pair_budget = scalars if len(scalars) <= 100 else scalars[:40]
     for c in pair_budget:
         for d in pair_budget:
-            cases += 1
             if sample.act(c * d) != sample.act(c).act(d):
                 failures.append({"c": c.serialize(), "d": d.serialize()})
-    return cases, failures
+    return failed.size + len(pair_budget) ** 2, failures
 
 
 def identity_suite(q: int, ctx: FieldContext) -> list:
@@ -418,23 +407,22 @@ def identity_suite(q: int, ctx: FieldContext) -> list:
     p, r = prime_power(q)
     k1 = ctx.extension_of_k1(q, 1)
     big = ctx.field(p, 4 * r)
+    # the level-3 points, and the same rows as integer columns
     points = enumerate_xprime(q, 3, k1)
+    cols = xprime_columns(q, 3, k1)
 
-    records = []
-    for name, (cases, failures) in (
-        ("torsion_factors_through_line", _suite_factorizations(q, big)),
-        ("reverse_factorization_middle_coeff",
-         _suite_reverse_factorizations(q, big)),
-        ("consecutive_swap_identity", _suite_swap(q, points)),
-        ("quotient_torsion_shifts", _suite_shift(q, points)),
-        ("z_recursion", _suite_z_recursion(q, points, k1)),
-        ("supersingular_z_set_triple", _suite_z_set(q, k1)),
-        ("scaling_action", _suite_action(q, points, k1)),
-    ):
-        records.append({"identity": name, "cases": cases,
-                        "passed": not failures,
-                        "failures": failures[:5]})
-    return records
+    names = ("torsion_factors_through_line",
+             "reverse_factorization_middle_coeff",
+             "consecutive_swap_identity", "quotient_torsion_shifts",
+             "z_recursion", "supersingular_z_set_triple", "scaling_action")
+    results = (*_suite_factorizations(q, big),
+               *_suite_pairs(q, points),
+               _suite_z_recursion(q, cols, k1),
+               _suite_z_set(q, k1),
+               _suite_action(q, cols, points[0], k1))
+    return [{"identity": name, "cases": cases, "passed": not failures,
+             "failures": failures[:5]}
+            for name, (cases, failures) in zip(names, results)]
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +447,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_enumerate(cfg: RunConfig) -> int:
-    ctx = cfg.context()
-    L = ctx.extension_of_k1(cfg.q, cfg.m_first)
     if cfg.m_first != cfg.m_last:
         raise UsageError("enumerate takes a single extension, not a range")
+    ctx = cfg.context()
+    L = ctx.extension_of_k1(cfg.q, cfg.m_first)
     if cfg.variant == "xprime":
         cols = xprime_columns(cfg.q, cfg.n, L)
         supersingular = xprime_supersingular_mask
@@ -528,7 +516,7 @@ def _cmd_zeta(cfg: RunConfig) -> int:
         rows.append(["symmetry_residual", str(report.symmetry_residual), ""])
         rows.append(["weil_deviation", report.weil_deviation, ""])
         sys.stdout.write(_emit_csv(meta, rows))
-    return EXIT_OK
+    return EXIT_OK if report.exact_residuals_zero() else EXIT_VERIFY_FAILED
 
 
 _COMMANDS = {

@@ -820,6 +820,8 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o * self.inverse()
 
     def __pow__(self, k: int):

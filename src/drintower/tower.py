@@ -377,16 +377,16 @@ def _xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
     return _read_only(cols)
 
 
-def _check_xprime(q: int, field: FieldSpec, cols: tuple) -> None:
-    """Vectorised TowerPoint validation: nonzero coordinates, and
-    z^q + z = a^(q+1) with z = a*b for consecutive coordinates a, b."""
+def xprime_relation_mask(q: int, field: FieldSpec, cols):
+    """Row mask of the coordinate columns that TowerPoint accepts: nonzero
+    coordinates, and z^q + z = a^(q+1) with z = a*b for consecutive a, b."""
+    import numpy as np
+    ok = np.logical_and.reduce([c != 0 for c in cols])
     for a, b in zip(cols, cols[1:]):
         z = field.power_product((a, 1), (b, 1))
-        if not (a.all() and b.all() and (field.add_ints(
-                field.power_product((z, q)), z)
-                == field.power_product((a, q + 1))).all()):
-            raise RuntimeError(
-                "an enumerated point fails the tower relation")
+        ok &= field.add_ints(field.power_product((z, q)), z) == \
+            field.power_product((a, q + 1))
+    return ok
 
 
 def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
@@ -396,8 +396,16 @@ def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
         raise ValueError("the tower starts at level 2")
     _check_coordinate_field(q, field)
     cols = _xprime_columns(q, n, field)
-    _check_xprime(q, field, cols)
+    if not xprime_relation_mask(q, field, cols).all():
+        raise RuntimeError("an enumerated point fails the tower relation")
     return cols
+
+
+def project_columns_to_x0(q: int, field: FieldSpec, cols) -> tuple:
+    """Column form of TowerPoint.project_to_x0: the Z-columns
+    (x_{j-1} x_j)^(q-1) of consecutive coordinate columns."""
+    return tuple(field.power_product((a, q - 1), (b, q - 1))
+                 for a, b in zip(cols, cols[1:]))
 
 
 def xprime_supersingular_mask(q: int, field: FieldSpec, cols):
@@ -492,22 +500,23 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
             del offset
         del keys, members
     cols = _read_only(cols)
-    _check_x0(q, field, cols)
+    if any((c == minus_one).any() for c in cols):
+        raise RuntimeError("an enumerated point has Z = -1")
+    if not x0_recursion_mask(q, field, cols).all():
+        raise RuntimeError("an enumerated point fails the quotient recursion")
     return cols, skipped
 
 
-def _check_x0(q: int, field: FieldSpec, cols: tuple) -> None:
-    """Vectorised X0Point validation: no coordinate is -1 and consecutive
-    coordinates satisfy the quotient recursion."""
+def x0_recursion_mask(q: int, field: FieldSpec, cols):
+    """Row mask of the Z-columns that X0Point accepts: no coordinate is -1,
+    and consecutive coordinates satisfy the quotient recursion."""
     import numpy as np
-    for c in cols:
-        if (c == field.p - 1).any():
-            raise RuntimeError("an enumerated point has Z = -1")
+    ok = np.logical_and.reduce([c != field.p - 1 for c in cols])
     for za, zb in zip(cols, cols[1:]):
-        if not np.array_equal(_z_forward(q, field, zb),
-                              _z_backward(q, field, za)):
-            raise RuntimeError(
-                "an enumerated point fails the quotient recursion")
+        # rows with Z = -1 are already out; 0 keeps (1+Z)^(1-q) defined
+        ok &= _z_forward(q, field, zb) == \
+            _z_backward(q, field, np.where(ok, za, 0))
+    return ok
 
 
 def x0_columns(q: int, n: int, field: FieldSpec) -> tuple:

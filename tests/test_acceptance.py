@@ -4,11 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS/FAIL lines as they happen.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from drintower.counting import hermitian_check
 from drintower.drinfeld import APoly, DrinfeldModule, isogeny_from_kernel, \
@@ -26,6 +28,10 @@ from drintower.tower import (
     supersingular_z_values,
     torsion_poly,
 )
+
+# subprocesses import this checkout's package, not an installed copy
+ENV = dict(os.environ,
+           PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 @contextmanager
@@ -205,7 +211,7 @@ def test_criterion_9_enumeration_determinism():
                 [sys.executable, "-m", "drintower", "enumerate",
                  "--q", "3", "--n", "3", "--ext", "1",
                  "--workers", workers],
-                capture_output=True)
+                capture_output=True, env=ENV)
             assert proc.returncode == 0
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
@@ -215,7 +221,7 @@ def test_criterion_9_enumeration_determinism():
                 [sys.executable, "-m", "drintower", "count",
                  "--q", "2", "--n", "3", "--ext", "1..2",
                  "--format", "csv", "--workers", workers],
-                capture_output=True)
+                capture_output=True, env=ENV)
             assert proc.returncode == 0
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]

@@ -1,14 +1,21 @@
 import csv
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from drintower.cli import main
 from drintower.finite_field import TABLE_BUDGET, make_field
+
+# subprocesses import this checkout's package, not an installed copy
+ENV = dict(os.environ,
+           PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def _run(capsys, *argv):
@@ -35,6 +42,58 @@ def test_identity_suite_prime_power_q():
     from drintower.counting import FieldContext
     records = identity_suite(4, FieldContext())
     assert all(rec["passed"] for rec in records)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_verify_builds_no_quotient_points(q, monkeypatch):
+    # the z_recursion and scaling_action suites read the walk's columns:
+    # with the quotient-point constructor and the scalar projection made
+    # to raise, the records do not change
+    from drintower import tower
+    from drintower.cli import identity_suite
+    from drintower.counting import FieldContext
+    expected = identity_suite(q, FieldContext())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a quotient point")
+
+    monkeypatch.setattr(tower.X0Point, "__init__", refuse)
+    monkeypatch.setattr(tower.TowerPoint, "project_to_x0", refuse)
+    assert identity_suite(q, FieldContext()) == expected
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("j,bad_z", [(2, 0), (2, -1), (1, -1)])
+def test_column_suites_report_a_corrupted_point(q, j, bad_z):
+    # one bad coordinate x_{j+1} in the columns: records name that point
+    # (and, for the action, every scalar in order), case counts stay,
+    # nothing raises.  Over GF(q^2) every Z pair off 0 and -1 satisfies
+    # the quotient recursion, so x_{j+1} is moved to give Z = 0 or -1.
+    from drintower.cli import _suite_action, _suite_z_recursion
+    from drintower.tower import enumerate_xprime, xprime_columns
+    k1 = make_field(*{3: (3, 2), 4: (2, 4)}[q])
+    sample = enumerate_xprime(q, 3, k1)[0]
+    cols = xprime_columns(q, 3, k1)
+    clean = (_suite_z_recursion(q, cols, k1),
+             _suite_action(q, cols, sample, k1))
+    assert all(failures == [] for _, failures in clean)
+
+    row = len(cols[0]) // 2
+    xs = [k1.from_int(int(c[row])) for c in cols]
+    a = xs[j - 1]
+    xs[j] = next(v for v in k1.elements() if (a * v) ** (q - 1) == bad_z)
+    z = a * xs[j]
+    assert z.frobenius(q) + z != a ** (q + 1)  # off the tower
+    cols = [c.copy() for c in cols]
+    cols[j][row] = xs[j].to_int()
+    point = [x.serialize() for x in xs]
+
+    cases, failures = _suite_z_recursion(q, cols, k1)
+    assert (cases, failures) == (clean[0][0], [{"point": point}])
+    cases, failures = _suite_action(q, cols, sample, k1)
+    assert cases == clean[1][0]
+    assert failures == [{"point": point, "c": c.serialize()}
+                        for c in k1.nonzero_elements()]
 
 
 def test_verify_rejects_non_prime_power(capsys):
@@ -82,6 +141,14 @@ def test_enumerate_rejects_ranges(capsys):
     assert "single extension" in err
 
 
+def test_enumerate_rejects_ranges_before_building_fields(capsys):
+    # GF(2^26) is past the default cap, but the range is the first error
+    code, _, err = _run(capsys, "enumerate", "--q", "2", "--n", "2",
+                        "--ext", "13..14")
+    assert code == 2
+    assert "single extension" in err
+
+
 def test_count_values(capsys):
     code, out, _ = _run(capsys, "count", "--q", "2", "--n", "2",
                         "--ext", "1..2")
@@ -102,6 +169,21 @@ def test_zeta_hermitian(capsys):
     assert report["symmetry_residual"] == "0"
     assert report["count_residuals"] == ["0", "0"]
     assert report["lpoly"] == ["1", "4", "4"]
+
+
+def test_zeta_nonzero_residuals_exit_1(capsys):
+    # the wrong genus leaves a nonzero exact residual: the report is
+    # written unchanged and the exit code says it failed
+    code, out, _ = _run(capsys, "zeta", "--q", "2", "--n", "2",
+                        "--genus", "0", "--ext", "1")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2e46c962ba607f03558f8a9e857197f7c489baaf573037640765a3a13fc4dd3b"
+    assert json.loads(out)["report"]["count_residuals"] == ["-4"]
+    code, out, _ = _run(capsys, "zeta", "--q", "2", "--n", "2",
+                        "--genus", "1", "--ext", "1")
+    assert code == 0
+    assert json.loads(out)["report"]["count_residuals"] == ["0"]
 
 
 def test_zeta_requires_genus_and_level_two(capsys):
@@ -235,7 +317,7 @@ def test_setup_does_not_import_numpy():
              "make_field(17, 4); make_field(2, 16)\n"
              "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -244,7 +326,7 @@ def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "drintower", "count", "--q", "2", "--n",
          "2", "--ext", "1", "--format", "csv"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0
     assert "supersingular_over_k1,,,6" in proc.stdout
 

@@ -102,6 +102,15 @@ def test_arith_mismatched_specs():
         a + b
 
 
+def test_reverse_division_by_foreign_operand():
+    gf9 = make_field(3, 2)
+    a = gf9.from_int(5)
+    with pytest.raises(TypeError, match="/"):
+        "x" / a
+    assert 1 / a == a.inverse()
+    assert 2 / a == gf9.constant(2) * a.inverse()
+
+
 def test_division_by_zero():
     gf4 = make_field(2, 2)
     with pytest.raises(ZeroDivisionError):

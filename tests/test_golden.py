@@ -12,7 +12,9 @@ inside quoted CSV fields, the digit 10 in JSON, a supersingular csv
 listing for p = 13) were recorded from the string-list renderer, before
 enumerate wrote its rows as byte blocks.  The two `verify` cases for
 q = 4 and 5 were recorded while field elements still held coefficient
-tuples, before they became integer encodings.
+tuples, before they became integer encodings.  The two for q = 8 and 9
+were recorded while verify still built a point object per (point,
+scalar) pair, before it checked the walk's integer columns.
 """
 
 import contextlib
@@ -97,6 +99,10 @@ GOLDEN = [
      "349a1f91fd545c70e2bef9866b4ce200393639c7ed5ce3401dc82523fe4e47e2"),
     (('verify', '--q', '5'),
      "4773e1fc9718693656ea1445842d4fbca97ae3e284d7d3a584ced53315eeebe7"),
+    (('verify', '--q', '8'),
+     "c6b9dc3a00fb5afd40ea26029e8c86f96018639d8070d68d7c0c9f0c33e0b28e"),
+    (('verify', '--q', '9'),
+     "de76d8c4a35beec881dd740580893e30e022d0ac0ff449b920711fd0b4a0d48f"),
 ]
 
 
@@ -136,7 +142,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACED = [(argv, digest) for argv, digest in GOLDEN if argv in (
     ('enumerate', '--q', '2', '--n', '3', '--ext', '2'),
     ('enumerate', '--q', '17', '--n', '2', '--ext', '1', '--format', 'csv'),
-    ('count', '--q', '2', '--n', '3', '--ext', '1..3'))]
+    ('count', '--q', '2', '--n', '3', '--ext', '1..3'),
+    ('verify', '--q', '3'))]
 
 
 @pytest.mark.parametrize("argv,digest", TRACED,

@@ -429,31 +429,35 @@ def test_serialization():
 
 
 def test_walk_checks_reject_corrupted_columns():
-    # the vectorised checks that replace per-point validation must raise
-    # on a single bad coordinate
+    # the row masks that replace per-point validation must flag a single
+    # bad coordinate, and only its row
     import numpy as np
     from drintower import tower
     gf16 = make_field(2, 4)
     cols = [c.copy() for c in xprime_columns(2, 3, gf16)]
-    tower._check_xprime(2, gf16, cols)
+    assert tower.xprime_relation_mask(2, gf16, cols).all()
     # x3 -> x3 + 1 moves z = x2*x3 by x2, off the solution coset
     # unless x2 lies in GF(2)
     row = np.flatnonzero(cols[1] != 1)[0]
     cols[2][row] ^= 1
-    with pytest.raises(RuntimeError, match="tower relation"):
-        tower._check_xprime(2, gf16, cols)
+    flagged = ~tower.xprime_relation_mask(2, gf16, cols)
+    assert np.flatnonzero(flagged).tolist() == [row]
 
     zcols = [c.copy() for c in x0_columns(2, 3, gf16)]
-    tower._check_x0(2, gf16, zcols)
+    assert tower.x0_recursion_mask(2, gf16, zcols).all()
     forward = tower._z_forward(2, gf16, np.arange(16))
     old = zcols[1][0]
     zcols[1][0] = next(v for v in range(16)
                        if v != 1 and forward[v] != forward[old])
-    with pytest.raises(RuntimeError, match="quotient recursion"):
-        tower._check_x0(2, gf16, zcols)
+    assert np.flatnonzero(
+        ~tower.x0_recursion_mask(2, gf16, zcols)).tolist() == [0]
     zcols[1][0] = 1  # the excluded value -1 in characteristic 2
-    with pytest.raises(RuntimeError, match="Z = -1"):
-        tower._check_x0(2, gf16, zcols)
+    assert np.flatnonzero(
+        ~tower.x0_recursion_mask(2, gf16, zcols)).tolist() == [0]
+    zcols[1][0] = old
+    zcols[0][0] = 1  # -1 as the left side of the recursion, too
+    assert np.flatnonzero(
+        ~tower.x0_recursion_mask(2, gf16, zcols)).tolist() == [0]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
