@@ -22,8 +22,14 @@ same renderers as every other report.  The points follow in blocks of
 RENDER_BLOCK rows, each rendered as one uint8 matrix from the byte
 tables of FieldSpec.text_tables in the exact layout of json.dumps
 (indent 2) or csv.writer, so the process holds the columns and one
-block of text, never the whole listing.  verify checks the walk's
-columns through the same row masks that the walks raise on.
+block of text, never the whole listing.
+
+count and verify read the same columns: count takes its supersingular
+tally from the variant's row mask, and verify checks the columns
+through the row masks that the walks raise on, and the pair identities
+through ids of the twisted-polynomial compositions at each element of
+GF(q^2)*.  The one point object a command builds is verify's sample
+for the act(c*d) = act(c).act(d) check, with its images under act.
 """
 
 from __future__ import annotations
@@ -45,9 +51,8 @@ from .counting import (
 from .finite_field import CapExceededError, DEFAULT_CAP, make_field, \
     prime_power
 from .tower import (
+    TowerPoint,
     cofactor_poly,
-    enumerate_x0,
-    enumerate_xprime,
     kernel_line_poly,
     quotient_torsion_poly,
     project_columns_to_x0,
@@ -60,6 +65,8 @@ from .tower import (
     xprime_relation_mask,
     xprime_supersingular_mask,
 )
+# bound here only for the benchmark's tracer, which wraps them
+from .tower import enumerate_x0, enumerate_xprime  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -89,7 +96,13 @@ class RunConfig:
     moduli: dict = field(default_factory=dict)
 
     def validate(self):
-        if prime_power(self.q) is None or self.q < 2:
+        if self.cap < 4:
+            raise UsageError("cap is too small for any field")
+        # before prime_power, whose trial division is slow for large q
+        if self.q >= 2 and self.q * self.q > self.cap:
+            raise CapExceededError(
+                f"field size {self.q}^2 exceeds the cap {self.cap}")
+        if prime_power(self.q) is None:
             raise UsageError(f"q = {self.q} is not a prime power >= 2")
         if self.n < 2:
             raise UsageError("n must be at least 2")
@@ -101,8 +114,6 @@ class RunConfig:
             raise UsageError(f"unknown format {self.format!r}")
         if self.workers < 1:
             raise UsageError("workers must be at least 1")
-        if self.cap < 4:
-            raise UsageError("cap is too small for any field")
         for (p, m), coeffs in self.moduli.items():
             try:
                 make_field(p, m, coeffs, cap=self.cap)
@@ -324,48 +335,53 @@ def _write_points(fmt: str, meta: dict, names: list, field,
 # the identity suite behind `verify`
 # ---------------------------------------------------------------------------
 
+def _compositions(x, q):
+    """torsion, cofactor*kernel_line, kernel_line*cofactor, quotient."""
+    kernel, cofactor = kernel_line_poly(x, q), cofactor_poly(x, q)
+    return (torsion_poly(x, q), cofactor * kernel, kernel * cofactor,
+            quotient_torsion_poly(x, q))
+
+
+def _pair_failures(k1, cols, ok):
+    """(cases, point-major {"point": ...} failures) of per-pair masks."""
+    import numpy as np
+    failed = ~np.column_stack(ok)
+    return failed.size, [{"point": k1.serialize_ints([c[row] for c in cols])}
+                         for row in failed.nonzero()[0]]
+
+
 def _suite_factorizations(q, big):
-    cases = 0
     forward, reverse = [], []
     for x in big.nonzero_elements():
-        cases += 1
-        kernel, cofactor = kernel_line_poly(x, q), cofactor_poly(x, q)
-        if cofactor * kernel != torsion_poly(x, q):
+        torsion, left, right, quotient = _compositions(x, q)
+        if left != torsion:
             forward.append({"x": x.serialize()})
-        composed = kernel * cofactor
         mid = x ** (q - 1) - x ** (q - q * q)
-        if composed != quotient_torsion_poly(x, q) or \
-                composed.coeffs[1] != mid:
+        if right != quotient or right.coeffs[1] != mid:
             reverse.append({"x": x.serialize()})
-    return (cases, forward), (cases, reverse)
+    return (big.size - 1, forward), (big.size - 1, reverse)
 
 
-def _suite_pairs(q, points):
-    cases = 0
-    swap, shift = [], []
-    for pt in points:
-        for xa, xb in zip(pt.coords, pt.coords[1:]):
-            cases += 1
-            torsion = torsion_poly(xb, q)
-            left = cofactor_poly(xb, q) * kernel_line_poly(xb, q)
-            right = kernel_line_poly(xa, q) * cofactor_poly(xa, q)
-            if not (left == right == torsion):
-                swap.append({"point": pt.serialize()})
-            if quotient_torsion_poly(xa, q) != torsion:
-                shift.append({"point": pt.serialize()})
-    return (cases, swap), (cases, shift)
+def _suite_pairs(q, cols, k1):
+    import numpy as np
+    # composition ids by encoding; a zero coordinate's ids match none
+    ids: dict = {}
+    torsion, left, right, quotient = np.array([(-1, -2, -3, -4)] + [
+        [ids.setdefault(f, len(ids)) for f in _compositions(x, q)]
+        for x in k1.nonzero_elements()]).T
+    swap = [(left[b] == right[a]) & (right[a] == torsion[b])
+            for a, b in zip(cols, cols[1:])]
+    shift = [quotient[a] == torsion[b] for a, b in zip(cols, cols[1:])]
+    return _pair_failures(k1, cols, swap), _pair_failures(k1, cols, shift)
 
 
 def _suite_z_recursion(q, cols, k1):
-    import numpy as np
     zcols = project_columns_to_x0(q, k1, cols)
-    # one case per consecutive Z pair of each point, point-major
-    failed = ~np.column_stack([x0_recursion_mask(q, k1, zcols[j:j + 2])
-                               for j in range(len(zcols) - 1)])
-    failures = [{"point": k1.serialize_ints([c[row] for c in cols])}
-                for row in np.nonzero(failed)[0]]
-    # enumerate_x0 checks the recursion on every tuple it returns
-    return failed.size + len(enumerate_x0(q, 3, k1)), failures
+    cases, failures = _pair_failures(k1, cols, [
+        x0_recursion_mask(q, k1, zcols[j:j + 2])
+        for j in range(len(zcols) - 1)])
+    # the quotient walk checks the recursion on every row it returns
+    return cases + len(x0_columns(q, 3, k1)[0]), failures
 
 
 def _suite_z_set(q, k1):
@@ -407,19 +423,19 @@ def identity_suite(q: int, ctx: FieldContext) -> list:
     p, r = prime_power(q)
     k1 = ctx.extension_of_k1(q, 1)
     big = ctx.field(p, 4 * r)
-    # the level-3 points, and the same rows as integer columns
-    points = enumerate_xprime(q, 3, k1)
+    # the level-3 points as integer columns, and row 0 as a checked point
     cols = xprime_columns(q, 3, k1)
+    sample = TowerPoint(q, k1.elements_at([c[0] for c in cols]))
 
     names = ("torsion_factors_through_line",
              "reverse_factorization_middle_coeff",
              "consecutive_swap_identity", "quotient_torsion_shifts",
              "z_recursion", "supersingular_z_set_triple", "scaling_action")
     results = (*_suite_factorizations(q, big),
-               *_suite_pairs(q, points),
+               *_suite_pairs(q, cols, k1),
                _suite_z_recursion(q, cols, k1),
                _suite_z_set(q, k1),
-               _suite_action(q, cols, points[0], k1))
+               _suite_action(q, cols, sample, k1))
     return [{"identity": name, "cases": cases, "passed": not failures,
              "failures": failures[:5]}
             for name, (cases, failures) in zip(names, results)]

@@ -359,13 +359,15 @@ def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None,
     With modulus omitted the deterministic lexicographically first monic
     irreducible of degree m is used.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**m > cap:
+    # before the primality test, whose trial division is slow for large
+    # p; 2^m > cap for m >= cap.bit_length(), without computing p^m
+    if p >= 2 and (m >= cap.bit_length() or p**m > cap):
         raise CapExceededError(
             f"field size {p}^{m} exceeds the cap {cap}")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if modulus is None:
         mod = first_irreducible(p, m)
     else:

@@ -245,14 +245,6 @@ class LinearizedPoly:
                     row_o[b] = (row_o[b] + row_t[b]) % p
         return out
 
-    # -- root sets ---------------------------------------------------------------
-
-    def kernel(self, field: FieldSpec) -> set:
-        return kernel_in(self, field)
-
-    def preimages(self, c: FieldElement, field: FieldSpec) -> set:
-        return preimages(self, c, field)
-
 
 def _materialize_space(field: FieldSpec, solver: GFpSolver) -> set:
     if field.p ** len(solver.nullspace) > _KERNEL_ENUM_LIMIT:
@@ -280,14 +272,6 @@ def kernel_in(u: LinearizedPoly, field: FieldSpec) -> set:
     ker = _materialize_space(field, _solver_for(u, field))
     _check_q_space(ker, field, u.q)
     return ker
-
-
-def kernel_by_enumeration(u: LinearizedPoly, field: FieldSpec) -> set:
-    """Brute-force reference path; must agree with kernel_in."""
-    if u.is_zero():
-        raise ValueError("the zero polynomial has the whole field as kernel")
-    v = u.map_to(field) if field != u.spec else u
-    return {x for x in field.elements() if not v(x)}
 
 
 def preimages(u: LinearizedPoly, c: FieldElement, field: FieldSpec) -> set:

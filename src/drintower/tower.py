@@ -463,7 +463,7 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
     bucket matching its right side.  A right side equal to the left side
     of the excluded -1, which is 0, is a branch lost to Z = -1; the
     excluded seed counts once more.  Cached for one field so that
-    enumerate_x0 and degenerate_z_skips share a walk.
+    x0_columns and degenerate_z_skips share a walk.
 
     The rows come out in lexicographic order without a sort: the seeds
     ascend, each frontier tuple's children follow it in frontier order,

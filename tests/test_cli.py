@@ -46,20 +46,60 @@ def test_identity_suite_prime_power_q():
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_verify_builds_no_quotient_points(q, monkeypatch):
-    # the z_recursion and scaling_action suites read the walk's columns:
-    # with the quotient-point constructor and the scalar projection made
-    # to raise, the records do not change
+    # every suite reads the walk's columns: with the quotient-point
+    # constructor, the scalar projection and both unchecked point
+    # constructors made to raise, the records do not change, and the
+    # one TowerPoint built besides the images of act is the act sample
     from drintower import tower
     from drintower.cli import identity_suite
     from drintower.counting import FieldContext
     expected = identity_suite(q, FieldContext())
 
     def refuse(*args, **kwargs):
-        raise AssertionError("verify built a quotient point")
+        raise AssertionError("verify built a per-point object")
+
+    calls = {"__init__": 0, "act": 0}
+
+    def counted(name):
+        original = getattr(tower.TowerPoint, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(tower.X0Point, "__init__", refuse)
     monkeypatch.setattr(tower.TowerPoint, "project_to_x0", refuse)
+    for cls in (tower.TowerPoint, tower.X0Point):
+        monkeypatch.setattr(cls, "_checked_elsewhere", refuse)
+    for name in calls:
+        monkeypatch.setattr(tower.TowerPoint, name, counted(name))
     assert identity_suite(q, FieldContext()) == expected
+    assert calls["act"] > 0 and calls["__init__"] == 1 + calls["act"]
+
+
+def _pair_records_by_scalar_loop(q, k1, cols):
+    # the swap and shift suites as a scalar loop over the pairs of each
+    # point; kernel_line_poly refuses 0, so a pair with a zero
+    # coordinate counts as failing both identities
+    from drintower.tower import (cofactor_poly, kernel_line_poly,
+                                 quotient_torsion_poly, torsion_poly)
+    swap, shift = [], []
+    for row in range(len(cols[0])):
+        point = k1.serialize_ints([c[row] for c in cols])
+        xs = [k1.from_int(int(c[row])) for c in cols]
+        for xa, xb in zip(xs, xs[1:]):
+            ok_swap = ok_shift = False
+            if xa and xb:
+                torsion = torsion_poly(xb, q)
+                ok_swap = cofactor_poly(xb, q) * kernel_line_poly(xb, q) \
+                    == kernel_line_poly(xa, q) * cofactor_poly(xa, q) \
+                    == torsion
+                ok_shift = quotient_torsion_poly(xa, q) == torsion
+            swap += [] if ok_swap else [{"point": point}]
+            shift += [] if ok_shift else [{"point": point}]
+    cases = len(cols[0]) * (len(cols) - 1)
+    return (cases, swap), (cases, shift)
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -69,13 +109,14 @@ def test_column_suites_report_a_corrupted_point(q, j, bad_z):
     # (and, for the action, every scalar in order), case counts stay,
     # nothing raises.  Over GF(q^2) every Z pair off 0 and -1 satisfies
     # the quotient recursion, so x_{j+1} is moved to give Z = 0 or -1.
-    from drintower.cli import _suite_action, _suite_z_recursion
+    from drintower.cli import _suite_action, _suite_pairs, \
+        _suite_z_recursion
     from drintower.tower import enumerate_xprime, xprime_columns
     k1 = make_field(*{3: (3, 2), 4: (2, 4)}[q])
     sample = enumerate_xprime(q, 3, k1)[0]
     cols = xprime_columns(q, 3, k1)
     clean = (_suite_z_recursion(q, cols, k1),
-             _suite_action(q, cols, sample, k1))
+             _suite_action(q, cols, sample, k1), *_suite_pairs(q, cols, k1))
     assert all(failures == [] for _, failures in clean)
 
     row = len(cols[0]) // 2
@@ -95,11 +136,46 @@ def test_column_suites_report_a_corrupted_point(q, j, bad_z):
     assert failures == [{"point": point, "c": c.serialize()}
                         for c in k1.nonzero_elements()]
 
+    # over GF(q^2)* both pair identities hold for every pair of nonzero
+    # coordinates, so only a zero one fails them, once per pair holding
+    # it: here x_2 = 0 in row 0 (both pairs), and x_{j+1} in row when
+    # the move above made it 0 (bad_z = 0)
+    cols[1][0] = 0
+    zero = k1.serialize_ints([c[0] for c in cols])
+    moved = [] if xs[j] else [{"point": point}]
+    pairs = _suite_pairs(q, cols, k1)
+    assert pairs == _pair_records_by_scalar_loop(q, k1, cols)
+    for (cases, failures), (clean_cases, _) in zip(pairs, clean[2:]):
+        assert cases == clean_cases
+        assert failures == [{"point": zero}] * 2 + moved
+
 
 def test_verify_rejects_non_prime_power(capsys):
     code, _, err = _run(capsys, "verify", "--q", "6")
     assert code == 2
     assert "prime power" in err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (("verify", "--q", "1000000000000000003"), 3, "exceeds the cap"),
+    (("verify", "--q", "6000"), 3, "exceeds the cap"),
+    (("verify", "--q", "6"), 2, "prime power"),
+    (("enumerate", "--q", "1000000000000000003"), 3, "exceeds the cap"),
+    (("count", "--modulus", "1000000000000000003^1/0,1"), 2,
+     "exceeds the cap"),
+    (("count", "--modulus", "2^3000000000/1,1"), 2, "exceeds the cap"),
+    (("zeta", "--q", "1000000000000000003", "--genus", "1"), 3,
+     "exceeds the cap"),
+])
+def test_size_is_checked_before_primality(argv, code, message):
+    # q past the cap exits 3 before prime_power runs, and a modulus past
+    # the cap exits 2 before its p is tested for primality or p^m is
+    # computed: both run for more than 20 s otherwise
+    proc = subprocess.run([sys.executable, "-m", "drintower", *argv],
+                          capture_output=True, text=True, env=ENV,
+                          timeout=10)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert message in proc.stderr
 
 
 def test_enumerate_point_listing(capsys):

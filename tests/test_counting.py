@@ -8,12 +8,23 @@ from drintower.counting import (
     FieldContext,
     count_points,
     hermitian_affine_count,
-    hermitian_affine_count_bruteforce,
     hermitian_check,
     zeta_consistency,
 )
 from drintower.finite_field import make_field, prime_power
 from drintower.tower import enumerate_xprime
+
+
+def hermitian_affine_count_bruteforce(q: int, m: int = 1) -> int:
+    """Independent double-loop oracle for hermitian_affine_count."""
+    L = FieldContext().extension_of_k1(q, m)
+    total = 0
+    for x in L.elements():
+        rhs = x ** (q + 1)
+        for z in L.elements():
+            if z.frobenius(q) + z == rhs:
+                total += 1
+    return total
 
 
 def test_count_examples():

@@ -1,4 +1,5 @@
-"""Hypothesis property tests of the field laws on integer encodings.
+"""Hypothesis property tests of the field laws on integer encodings,
+and of the twisted-ring laws of q-linearized polynomials over them.
 
 The laws are checked on the table path (every field here within the
 table budget) and on the schoolbook path (GF(2^25), past it), and the
@@ -13,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from drintower.finite_field import make_field  # noqa: E402
+from drintower.linearized import LinearizedPoly  # noqa: E402
 
 TABLE_FIELDS = [(2, 1), (2, 8), (3, 5), (5, 3), (7, 2), (17, 4), (2, 16)]
 FIELDS = TABLE_FIELDS + [(2, 25)]
@@ -60,3 +62,35 @@ def test_table_path_matches_schoolbook_on_encodings(case, n):
     if a:
         inv = spec.from_int(spec._inv(a)).coeffs
         assert spec._mul_generic(da, inv) == spec.one().coeffs
+
+
+def _twisted(fields, k):
+    """(spec, q, k coefficient lists of at most 3 encodings, one more
+    encoding) for a spec drawn from fields and q = p^r with r | m."""
+    def draw(pm):
+        spec = make_field(*pm, cap=2**25)
+        p, m = pm
+        qs = [p**r for r in range(1, m + 1) if m % r == 0]
+        element = st.integers(0, spec.size - 1)
+        return st.tuples(st.just(spec), st.sampled_from(qs), st.lists(
+            st.lists(element, max_size=3), min_size=k, max_size=k), element)
+    return st.sampled_from(fields).flatmap(draw)
+
+
+@SETTINGS
+@given(_twisted(FIELDS, 3), st.integers(0, 4))
+def test_twisted_ring_laws(case, k):
+    spec, q, polys, x = case
+    u, v, w = (LinearizedPoly(q, [spec.from_int(c) for c in cs], spec)
+               for cs in polys)
+    x = spec.from_int(x)
+    one = LinearizedPoly.identity(q, spec)
+    assert (u * v) * w == u * (v * w)
+    assert u * (v + w) == u * v + u * w
+    assert (u + v) * w == u * w + v * w
+    assert one * u == u == u * one
+    assert (u * v)(x) == u(v(x))
+    power = one
+    for _ in range(k):
+        power = power * u
+    assert u ** k == power

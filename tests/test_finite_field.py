@@ -80,9 +80,25 @@ def test_size_cap():
     assert make_field(2, 25, cap=2**26).size == 2**25
 
 
+def test_size_cap_is_checked_before_primality(monkeypatch):
+    # a p or m far past the cap is refused without a primality test
+    # (trial division up to 10^9 here) or a power of 3*10^9 bits
+    import drintower.finite_field as ff
+
+    def refuse(n):
+        raise AssertionError("primality tested before the size cap")
+
+    monkeypatch.setattr(ff, "_is_prime", refuse)
+    for p, m in ((10**18 + 3, 1), (2, 3 * 10**9), (7, 9), (2, 25)):
+        with pytest.raises(CapExceededError):
+            make_field(p, m, cap=2**24)
+
+
 def test_non_prime_p_rejected():
     with pytest.raises(ValueError, match="not prime"):
         make_field(6, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        make_field(1, 10**9)
 
 
 def test_arith_examples():

@@ -14,7 +14,10 @@ enumerate wrote its rows as byte blocks.  The two `verify` cases for
 q = 4 and 5 were recorded while field elements still held coefficient
 tuples, before they became integer encodings.  The two for q = 8 and 9
 were recorded while verify still built a point object per (point,
-scalar) pair, before it checked the walk's integer columns.
+scalar) pair, before it checked the walk's integer columns.  The last
+three `count` cases were recorded while count_points still built a
+point object per level-n point over GF(q^2) for its supersingular
+tally, before it took the tally from the column masks.
 """
 
 import contextlib
@@ -103,6 +106,12 @@ GOLDEN = [
      "c6b9dc3a00fb5afd40ea26029e8c86f96018639d8070d68d7c0c9f0c33e0b28e"),
     (('verify', '--q', '9'),
      "de76d8c4a35beec881dd740580893e30e022d0ac0ff449b920711fd0b4a0d48f"),
+    (('count', '--q', '8', '--n', '4', '--ext', '1'),
+     "5dbce191a4843322d54d9c6d31670b0f1c1f22449f1be522c32b14abb9255c9f"),
+    (('count', '--q', '16', '--n', '3', '--ext', '1..2'),
+     "dde1d9a2b636279abeff75924e981aac889ecbfed20a090a59ab8ccfb710309c"),
+    (('count', '--q', '8', '--n', '4', '--variant', 'x0', '--ext', '1'),
+     "d26abbdb9ce27ae575c8bbac248a337d7f12561ed0a810e542e26b6813b7487e"),
 ]
 
 
@@ -117,13 +126,14 @@ def test_cli_stdout_matches_golden_hash(argv, digest):
 
 
 def test_enumerate_builds_no_point_objects(monkeypatch):
-    # enumerate renders the integer coordinate columns: with every
-    # per-point constructor and serializer made to raise, its golden
-    # outputs (both variants, json and csv) still come out
+    # enumerate renders the integer coordinate columns, and count tallies
+    # them through the supersingular row masks: with every per-point
+    # constructor and serializer made to raise, their golden outputs
+    # (both variants, json and csv) still come out
     from drintower import finite_field, tower
 
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerate built a per-point object")
+        raise AssertionError("a command built a per-point object")
 
     monkeypatch.setattr(finite_field.FieldSpec, "elements_at", refuse)
     monkeypatch.setattr(finite_field.FieldElement, "serialize", refuse)
@@ -134,6 +144,10 @@ def test_enumerate_builds_no_point_objects(monkeypatch):
              if argv[0] == "enumerate" and argv[2] != "17"]
     assert {("csv" in argv, "x0" in argv) for argv, _ in cases} == \
         {(False, False), (False, True), (True, False), (True, True)}
+    cases += [(argv, digest) for argv, digest in GOLDEN
+              if argv[0] == "count"]
+    assert {"x0" in argv for argv, _ in cases if argv[0] == "count"} == \
+        {False, True}
     for argv, digest in cases:
         test_cli_stdout_matches_golden_hash(argv, digest)
 
@@ -143,6 +157,7 @@ TRACED = [(argv, digest) for argv, digest in GOLDEN if argv in (
     ('enumerate', '--q', '2', '--n', '3', '--ext', '2'),
     ('enumerate', '--q', '17', '--n', '2', '--ext', '1', '--format', 'csv'),
     ('count', '--q', '2', '--n', '3', '--ext', '1..3'),
+    ('count', '--q', '2', '--n', '3', '--ext', '1..3', '--variant', 'x0'),
     ('verify', '--q', '3'))]
 
 

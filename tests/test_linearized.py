@@ -6,11 +6,16 @@ from drintower.finite_field import embed, make_field
 from drintower.linearized import (
     InseparableKernelWarning,
     LinearizedPoly,
-    kernel_by_enumeration,
     kernel_in,
     preimages,
     splitting_field,
 )
+
+
+def kernel_by_enumeration(u: LinearizedPoly, field) -> set:
+    """Brute-force reference path; must agree with kernel_in."""
+    v = u.map_to(field) if field != u.spec else u
+    return {x for x in field.elements() if not v(x)}
 
 
 def test_twist_rule():
