@@ -11,7 +11,10 @@ verify, a nonzero exact residual in zeta; the report is written either
 way), 2 usage error, 3 field-size cap exceeded.  Identical
 configuration produces byte-identical output.  --workers is accepted
 for compatibility and ignored: the whole-field walks run as array code
-in one thread.
+in one thread.  main sets OPENBLAS_NUM_THREADS=1 for its own process,
+overriding an inherited value, before numpy is first imported: numpy
+would otherwise start an OpenBLAS thread pool that no integer array
+product uses.  Importing this module leaves the environment alone.
 
 enumerate works on the sorted, relation-checked integer coordinate
 columns of the tower walks, and no per-point TowerPoint, X0Point or
@@ -38,6 +41,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -588,6 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # before the walks first import numpy: no product here uses BLAS
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -144,13 +144,16 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
     else:
         columns, supersingular = x0_columns, x0_supersingular_mask
     k1 = ctx.extension_of_k1(q, 1)
-    ss = int(supersingular(q, k1, columns(q, n, k1)).sum())
+    k1_columns = columns(q, n, k1)
+    ss = int(supersingular(q, k1, k1_columns).sum())
+    k1_count = len(k1_columns[0])  # the m = 1 row, without a second walk
+    del k1_columns
     # right after x0_columns over the same field, this reuses its walk
     skipped = degenerate_z_skips(q, n, k1) if variant == "x0" else None
     rows = []
     for m in range(m_first, m_last + 1):
         L = ctx.extension_of_k1(q, m)
-        count = len(columns(q, n, L)[0])
+        count = k1_count if m == 1 else len(columns(q, n, L)[0])
         rows.append(ExtensionCount(m, L.serialize(), L.size, count))
     return CountReport(q, n, variant, tuple(rows), ss,
                        degenerate_z_skipped=skipped)

@@ -458,18 +458,21 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
     tower, and the degenerate-Z tally of the same walk.
 
     Z_2 ranges over the field minus -1.  Each later coordinate solves
-    Z_{j+1} (1+Z_{j+1})^(q-1) = rhs(Z_j): the allowed values are sorted
-    by their left side once, and every frontier tuple takes the whole
-    bucket matching its right side.  A right side equal to the left side
-    of the excluded -1, which is 0, is a branch lost to Z = -1; the
-    excluded seed counts once more.  Cached for one field so that
-    x0_columns and degenerate_z_skips share a walk.
+    Z_{j+1} (1+Z_{j+1})^(q-1) = rhs(Z_j): the allowed values are grouped
+    by the encoding of their left side once, and every frontier tuple
+    takes the whole bucket matching its right side.  Bucket k is
+    members[starts[k]:starts[k + 1]], where starts (int32, field size
+    plus one) is the running count of left sides below each encoding,
+    so a lookup is two reads, with no search.  A right side equal to
+    the left side of the excluded -1, which is 0, is a branch lost to
+    Z = -1; the excluded seed counts once more.  Cached for one field
+    so that x0_columns and degenerate_z_skips share a walk.
 
     The rows come out in lexicographic order without a sort: the seeds
     ascend, each frontier tuple's children follow it in frontier order,
     and a bucket lists its members in ascending order because the
     stable argsort keeps the ascending order of allowed among equal
-    keys.
+    left sides.
     """
     import numpy as np
     _check_coordinate_field(q, field)
@@ -480,14 +483,15 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
     skipped = 1
     if n > 2:
         keys = _z_forward(q, field, allowed)
-        by_key = np.argsort(keys, kind="stable")
-        keys, members = keys[by_key], allowed[by_key]
-        del by_key
+        members = allowed[np.argsort(keys, kind="stable")]
+        starts = np.zeros(field.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys, minlength=field.size), out=starts[1:])
+        del keys
         for _ in range(n - 2):
             rhs = _z_backward(q, field, cols[-1])
             skipped += int(np.count_nonzero(rhs == 0))
-            lo = np.searchsorted(keys, rhs, side="left")
-            width = np.searchsorted(keys, rhs, side="right") - lo
+            lo = starts[rhs]
+            width = starts[rhs + 1] - lo
             del rhs
             parent = np.repeat(np.arange(len(width)), width)
             offset = np.arange(len(parent)) - np.repeat(
@@ -498,7 +502,7 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
             del parent
             cols.append(members[offset])
             del offset
-        del keys, members
+        del starts, members
     cols = _read_only(cols)
     if any((c == minus_one).any() for c in cols):
         raise RuntimeError("an enumerated point has Z = -1")

@@ -385,6 +385,26 @@ def test_workers_start_no_thread(capsys, monkeypatch):
         assert outs[0] == outs[1]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+def test_cli_process_runs_in_one_thread():
+    # importing the package leaves the environment alone; main then keeps
+    # numpy's OpenBLAS from starting threads, even against a preset value
+    probe = ("import contextlib, io, os, sys\n"
+             "import drintower, drintower.cli\n"
+             "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = drintower.cli.main(['count', '--q', '2', '--n', '3',"
+             " '--variant', 'x0', '--ext', '1..2'])\n"
+             "print(code, 'numpy' in sys.modules,"
+             " len(os.listdir('/proc/self/task')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True,
+                          env=dict(ENV, OPENBLAS_NUM_THREADS="4"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["4", "0 True 1", ""]
+
+
 def test_setup_does_not_import_numpy():
     # importing the CLI and building fields stays free of numpy; tables
     # and array walks import it when first needed

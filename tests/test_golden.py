@@ -17,7 +17,10 @@ were recorded while verify still built a point object per (point,
 scalar) pair, before it checked the walk's integer columns.  The last
 three `count` cases were recorded while count_points still built a
 point object per level-n point over GF(q^2) for its supersingular
-tally, before it took the tally from the column masks.
+tally, before it took the tally from the column masks.  The last two
+(the x0 count over GF(2^4..2^16), and GF(2^20) with its many more
+buckets) were recorded while the quotient walk still looked its buckets
+up in sorted keys, before it indexed them by encoding.
 """
 
 import contextlib
@@ -112,6 +115,10 @@ GOLDEN = [
      "dde1d9a2b636279abeff75924e981aac889ecbfed20a090a59ab8ccfb710309c"),
     (('count', '--q', '8', '--n', '4', '--variant', 'x0', '--ext', '1'),
      "d26abbdb9ce27ae575c8bbac248a337d7f12561ed0a810e542e26b6813b7487e"),
+    (('count', '--q', '4', '--n', '3', '--variant', 'x0', '--ext', '1..4'),
+     "37f8765cb496c97d097d0f7955dfcfb76bcc9c6a6c1059c1fdb03b77f5745852"),
+    (('count', '--q', '4', '--n', '3', '--variant', 'x0', '--ext', '5'),
+     "b5e97bdd5d2e1e098924e34fb69987425265a28c2490bc2b2dfc282868c715f0"),
 ]
 
 

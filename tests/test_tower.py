@@ -9,6 +9,7 @@ from drintower.tower import (
     TowerPoint,
     X0Point,
     cofactor_poly,
+    degenerate_z_skips,
     enumerate_x0,
     enumerate_xprime,
     kernel_line_poly,
@@ -405,19 +406,51 @@ def test_x0_point_validation():
         X0Point(2, (gf4.zero(), w))
 
 
+# (q, p, m, modulus, whether the top encoding size - 1 is a left side
+# of the recursion, and so the last bucket of the walk's index)
+X0_ORACLE_CASES = [
+    (2, 2, 2, None, False),
+    (2, 2, 4, None, False),
+    (4, 2, 4, None, False),
+    (4, 2, 4, (1, 0, 0, 1, 1), False),  # not the default modulus
+    (3, 3, 2, None, True),
+    (5, 5, 2, None, True),
+]
+
+
 def test_x0_enumeration_matches_direct_filter():
-    # independent oracle: filter all coordinate tuples by the recursion
-    gf9 = make_field(3, 2)
-    one = gf9.one()
+    for case in X0_ORACLE_CASES:
+        for n in (3, 4):
+            _check_x0_against_direct_filter(*case, n)
+
+
+def _check_x0_against_direct_filter(q, p, m, modulus, top_key, n):
+    # independent oracle: grow the quotient tower level by level, testing
+    # every field element against the recursion in scalar arithmetic
+    field = make_field(p, m, modulus)
+    one = field.one()
     minus_one = -one
-    allowed = [z for z in gf9.elements() if z != minus_one]
-    direct = []
-    for za in allowed:
-        for zb in allowed:
-            if zb * (one + zb) ** 2 == za.frobenius(3) / (one + za) ** 2:
-                direct.append((za.to_int(), zb.to_int()))
-    got = [p.ints() for p in enumerate_x0(3, 3, gf9)]
-    assert sorted(direct) == got
+    elements = list(field.elements())
+    left = [z * (one + z) ** (q - 1) for z in elements]
+    assert (field.from_int(field.size - 1) in left) == top_key
+    rows = [(z.to_int(),) for z in elements if z != minus_one]
+    skips = 1  # the excluded seed
+    for _ in range(n - 2):
+        grown = []
+        for row in rows:
+            za = field.from_int(row[-1])
+            right = za ** q / (one + za) ** (q - 1)
+            for zb, lhs in zip(elements, left):
+                if lhs != right:
+                    continue
+                if zb == minus_one:
+                    skips += 1
+                else:
+                    grown.append(row + (zb.to_int(),))
+        rows = grown
+    got = list(zip(*(c.tolist() for c in x0_columns(q, n, field))))
+    assert got == sorted(rows), (q, field, n)
+    assert degenerate_z_skips(q, n, field) == skips, (q, field, n)
 
 
 def test_serialization():
