@@ -526,8 +526,9 @@ class FieldSpec:
         order = self.size - 1
         one = self.one().coeffs
         divisors = _prime_divisors(order)
+        # for m > 1 the prime-field constants 1..p-1 cannot be primitive
         gen = next(g for g in (FieldElement(self, n)
-                               for n in range(1, self.size))
+                               for n in range(p if m > 1 else 1, self.size))
                    if all(self._pow_generic(g.coeffs, order // f) != one
                           for f in divisors))
         exp = np.empty(order, dtype=np.int32)

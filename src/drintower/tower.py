@@ -29,9 +29,10 @@ the tuple) leaves the coordinates Z_j = (x_{j-1} x_j)^(q-1), which obey
     Z_{j+1} (1+Z_{j+1})^(q-1) = Z_j^q / (1+Z_j)^(q-1)
 
 and generate the quotient tower; enumerate_x0 walks that recursion
-directly.  Enumeration walks the whole field at once as arrays of
-integer encodings (see finite_field) and keeps the rows in lexicographic
-order level by level, so its order is deterministic.
+directly.  The children of a row depend only on its last coordinate, so
+enumeration lists each tower's one-step edges once, as arrays of integer
+encodings (see finite_field), and grows every level through one bucket
+index, keeping the rows in lexicographic order, so its order is fixed.
 """
 
 from __future__ import annotations
@@ -334,47 +335,28 @@ def _read_only(cols: list) -> tuple:
     return tuple(cols)
 
 
-def _xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
-    """Coordinate columns (x_1, ..., x_n) of every level-n point.
+def _expand(cols: list, starts, members, keys) -> list:
+    """The rows of cols, each followed by every member of its key's bucket.
 
-    Each step solves z^q + z = x^(q+1) for every frontier point at once:
-    the map z -> z^q + z is GF(p)-linear, so solvability is the parity
-    rows of its solver and a particular solution is one matrix product;
-    the solutions are that plus the q kernel elements, and the new
-    coordinate is z / x.
+    Bucket k is members[starts[k]:starts[k + 1]], where starts (int32,
+    field size plus one) is the running count of edge sources below each
+    encoding, so a lookup is two reads, with no search.  Rows given in
+    lexicographic order come out in lexicographic order without a sort:
+    each row's children follow it in row order, and every bucket lists
+    its members in ascending order.
     """
     import numpy as np
-    field.tables()  # before anything of field size is allocated
-    solver = _solver_for(_trace_map(q, field), field)
-    kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
-    cols = [np.arange(1, field.size, dtype=np.int64)]
-    for _ in range(n - 1):
-        last = cols[-1]
-        rhs = field.power_product((last, q + 1))
-        parent = np.flatnonzero(solver.consistent_ints(rhs))
-        z = field.add_ints(
-            np.repeat(solver.solve_ints(rhs[parent]), len(kernel)),
-            np.tile(kernel, len(parent)))
-        del rhs
-        parent = np.repeat(parent, len(kernel))
-        live = z != 0
-        parent, z = parent[live], z[live]
-        del live
-        new = field.power_product((z, 1), (last[parent], -1))
-        del z
-        # the rows of cols are in lexicographic order and parent is
-        # nondecreasing, so sorting by (parent, new) keeps the new rows
-        # in lexicographic order; the key stays below 2^63 for fewer
-        # than 2^39 rows, as size <= 2^24
-        key = parent * field.size
-        key += new
-        order = np.argsort(key, kind="stable")
-        del key
-        parent, new = parent[order], new[order]
-        del order
-        cols = [c[parent] for c in cols]
-        cols.append(new)
-    return _read_only(cols)
+    lo = starts[keys]
+    width = starts[keys + 1] - lo
+    parent = np.repeat(np.arange(len(width)), width)
+    # a row's children start at output position cumsum(width) - width
+    offset = np.repeat(lo - (np.cumsum(width) - width), width)
+    del lo, width
+    offset += np.arange(len(parent))
+    cols = [c[parent] for c in cols]
+    del parent
+    cols.append(members[offset])
+    return cols
 
 
 def xprime_relation_mask(q: int, field: FieldSpec, cols):
@@ -391,11 +373,43 @@ def xprime_relation_mask(q: int, field: FieldSpec, cols):
 
 def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
     """The points of enumerate_xprime as read-only coordinate columns:
-    one int64 array of integer encodings per coordinate."""
+    one int64 array of integer encodings per coordinate.
+
+    The edges x -> z/x with z^q + z = x^(q+1) are solved once for every
+    x: z -> z^q + z is GF(p)-linear, so the solutions are one matrix
+    product plus the q kernel elements, and none is 0 as x is not.
+    Sorted, the edges are the level-2 rows, and _expand grows each
+    later level from them.
+    """
+    import numpy as np
     if n < 2:
         raise ValueError("the tower starts at level 2")
     _check_coordinate_field(q, field)
-    cols = _xprime_columns(q, n, field)
+    field.tables()  # before anything of field size is allocated
+    solver = _solver_for(_trace_map(q, field), field)
+    kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
+    rhs = field.power_product((np.arange(1, field.size, dtype=np.int64),
+                               q + 1))
+    source = np.flatnonzero(solver.consistent_ints(rhs))
+    z = field.add_ints(
+        np.repeat(solver.solve_ints(rhs[source]), len(kernel)),
+        np.tile(kernel, len(source)))
+    del rhs
+    source = np.repeat(source + 1, len(kernel))
+    target = field.power_product((z, 1), (source, -1))
+    del z
+    order = np.argsort(source * field.size + target, kind="stable")
+    source, target = source[order], target[order]
+    del order
+    cols = [source, target]
+    if n > 2:
+        starts = np.zeros(field.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(source, minlength=field.size), out=starts[1:])
+        del source
+        for _ in range(n - 2):
+            cols = _expand(cols, starts, target, cols[-1])
+        del starts, target
+    cols = _read_only(cols)
     if not xprime_relation_mask(q, field, cols).all():
         raise RuntimeError("an enumerated point fails the tower relation")
     return cols
@@ -459,20 +473,11 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
 
     Z_2 ranges over the field minus -1.  Each later coordinate solves
     Z_{j+1} (1+Z_{j+1})^(q-1) = rhs(Z_j): the allowed values are grouped
-    by the encoding of their left side once, and every frontier tuple
-    takes the whole bucket matching its right side.  Bucket k is
-    members[starts[k]:starts[k + 1]], where starts (int32, field size
-    plus one) is the running count of left sides below each encoding,
-    so a lookup is two reads, with no search.  A right side equal to
-    the left side of the excluded -1, which is 0, is a branch lost to
-    Z = -1; the excluded seed counts once more.  Cached for one field
-    so that x0_columns and degenerate_z_skips share a walk.
-
-    The rows come out in lexicographic order without a sort: the seeds
-    ascend, each frontier tuple's children follow it in frontier order,
-    and a bucket lists its members in ascending order because the
-    stable argsort keeps the ascending order of allowed among equal
-    left sides.
+    by their left side once, in ascending order within each bucket (the
+    argsort is stable), and _expand gives every row the bucket of its
+    right side.  A right side of 0, the left side of the excluded -1, is
+    a branch lost to Z = -1; the excluded seed counts once more.  Cached
+    for one field so that x0_columns and degenerate_z_skips share a walk.
     """
     import numpy as np
     _check_coordinate_field(q, field)
@@ -490,18 +495,8 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
         for _ in range(n - 2):
             rhs = _z_backward(q, field, cols[-1])
             skipped += int(np.count_nonzero(rhs == 0))
-            lo = starts[rhs]
-            width = starts[rhs + 1] - lo
+            cols = _expand(cols, starts, members, rhs)
             del rhs
-            parent = np.repeat(np.arange(len(width)), width)
-            offset = np.arange(len(parent)) - np.repeat(
-                np.cumsum(width) - width, width)
-            offset += np.repeat(lo, width)
-            del lo, width
-            cols = [c[parent] for c in cols]
-            del parent
-            cols.append(members[offset])
-            del offset
         del starts, members
     cols = _read_only(cols)
     if any((c == minus_one).any() for c in cols):

@@ -256,6 +256,24 @@ def test_log_table_path_bit_identical(p, m):
         zero ** -1
 
 
+def test_primitive_search_skips_prime_field_constants():
+    # for m > 1 the constants 1..p-1 cannot generate GF(p^m)*, so the
+    # search starts at encoding p and tries every encoding from there up
+    # to the generator exp[1]
+    spec = FieldSpec(3, 4, first_irreducible(3, 4))
+    bases = []
+    pow_generic = spec._pow_generic
+
+    def record(a, n):
+        bases.append(_int_encode(a, 3))
+        return pow_generic(a, n)
+
+    spec._pow_generic = record
+    spec._build_tables()
+    assert bases and min(bases) >= 3
+    assert sorted(set(bases)) == list(range(3, int(spec._exp[1]) + 1))
+
+
 # a non-default irreducible modulus for each sampled table check
 _OTHER_MODULI = {
     (2, 16): (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1),

@@ -20,7 +20,11 @@ point object per level-n point over GF(q^2) for its supersingular
 tally, before it took the tally from the column masks.  The last two
 (the x0 count over GF(2^4..2^16), and GF(2^20) with its many more
 buckets) were recorded while the quotient walk still looked its buckets
-up in sorted keys, before it indexed them by encoding.
+up in sorted keys, before it indexed them by encoding.  The last five
+(x-coordinate towers up to level 6, a non-default modulus at level 4,
+odd p in csv at level 3) were recorded while the x-coordinate walk
+still solved and sorted its frontier at every level, before both walks
+expanded their rows through one bucket index.
 """
 
 import contextlib
@@ -119,6 +123,17 @@ GOLDEN = [
      "37f8765cb496c97d097d0f7955dfcfb76bcc9c6a6c1059c1fdb03b77f5745852"),
     (('count', '--q', '4', '--n', '3', '--variant', 'x0', '--ext', '5'),
      "b5e97bdd5d2e1e098924e34fb69987425265a28c2490bc2b2dfc282868c715f0"),
+    (('enumerate', '--q', '3', '--n', '5', '--ext', '1'),
+     "5feff1008f434890e287524cbe30654ab65ebb6c06f2edae810f283c8e088d3b"),
+    (('count', '--q', '2', '--n', '6', '--ext', '1..4'),
+     "b22705dc4049a6b5d2c98b879d4eb7d7689a29a6b0136258fb97f68039225673"),
+    (('enumerate', '--q', '2', '--n', '4', '--ext', '3',
+      '--modulus', '2^6/1,1,0,1,1,0,1'),
+     "9e2fc021994d61f0f74048acfbc5d397a375ff4374e1d589309246f5f9bb343d"),
+    (('enumerate', '--q', '5', '--n', '3', '--ext', '2', '--format', 'csv'),
+     "8744208f98998e14efbb5edd7341b00e3f3e1f46abe0ce98e0d53ee898ce03d4"),
+    (('count', '--q', '3', '--n', '5', '--ext', '1..3'),
+     "517c1f2ab17b3c31efb815dbd044565d81264bc538f1bf92e11db80f358e3a3c"),
 ]
 
 

@@ -149,6 +149,58 @@ def test_enumerate_gf16_matches_double_loop():
     assert len(pts) == brute == 6
 
 
+# (q, p, m, modulus)
+XPRIME_ORACLE_CASES = [
+    (2, 2, 2, None),
+    (2, 2, 4, None),
+    (4, 2, 4, None),
+    (4, 2, 4, (1, 0, 0, 1, 1)),  # not the default modulus
+    (3, 3, 2, None),
+    (5, 5, 2, None),
+]
+
+
+def test_xprime_enumeration_matches_direct_filter():
+    # independent oracle: grow the tower level by level, testing every
+    # nonzero field element against the relation in scalar arithmetic
+    top_keys = 0
+    for q, p, m, modulus in XPRIME_ORACLE_CASES:
+        field = make_field(p, m, modulus)
+        nonzero = list(field.nonzero_elements())
+        rows = [(x,) for x in nonzero]
+        for n in (2, 3, 4):
+            rows = [row + (b,) for row in rows for b in nonzero
+                    if (row[-1] * b) ** q + row[-1] * b
+                    == row[-1] ** (q + 1)]
+            got = list(zip(*(c.tolist()
+                             for c in xprime_columns(q, n, field))))
+            assert got == [tuple(x.to_int() for x in row) for row in rows], \
+                (q, field, n)
+            if n > 2:
+                # the top encoding as a key with children reads
+                # starts[size] in the walk's bucket index
+                top_keys += sum(row[-2] == field.size - 1 for row in got)
+    assert top_keys
+
+
+def test_xprime_walk_solves_once(monkeypatch):
+    # one solver pass lists every edge; the later levels only look up
+    from drintower.finite_field import GFpSolver
+    calls = []
+
+    def counting(name, method):
+        def counted(self, rhs):
+            calls.append(name)
+            return method(self, rhs)
+        return counted
+
+    for name in ("consistent_ints", "solve_ints"):
+        monkeypatch.setattr(GFpSolver, name,
+                            counting(name, getattr(GFpSolver, name)))
+    xprime_columns(2, 5, make_field(2, 4))
+    assert sorted(calls) == ["consistent_ints", "solve_ints"]
+
+
 def test_enumerate_no_duplicates_and_sorted():
     gf9 = make_field(3, 2)
     pts = enumerate_xprime(3, 3, gf9)
@@ -539,10 +591,12 @@ def test_xprime_mask_rejects_supersingular_row_leaving_gf_q2():
 
 
 def test_module_caches_are_bounded():
-    from drintower import finite_field, tower
+    from drintower import finite_field, linearized, tower
     for fn in (finite_field._embedding_powers,
                finite_field._embedding_section,
                finite_field.subfield_elements,
+               linearized._solver_for,
+               tower._x0_walk,
                tower.supersingular_z_values):
         maxsize = fn.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, fn.__name__
