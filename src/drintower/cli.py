@@ -56,6 +56,7 @@ from .finite_field import CapExceededError, DEFAULT_CAP, make_field, \
     prime_power
 from .tower import (
     TowerPoint,
+    _x0_walk,
     cofactor_poly,
     kernel_line_poly,
     quotient_torsion_poly,
@@ -384,8 +385,8 @@ def _suite_z_recursion(q, cols, k1):
     cases, failures = _pair_failures(k1, cols, [
         x0_recursion_mask(q, k1, zcols[j:j + 2])
         for j in range(len(zcols) - 1)])
-    # the quotient walk checks the recursion on every row it returns
-    return cases + len(x0_columns(q, 3, k1)[0]), failures
+    # the quotient walk checks the recursion on every row it counts
+    return cases + _x0_walk(q, 3, k1).count(), failures
 
 
 def _suite_z_set(q, k1):

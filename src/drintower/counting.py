@@ -31,14 +31,17 @@ from .finite_field import (
 )
 from .linearized import LinearizedPoly, _solver_for
 from .tower import (
-    degenerate_z_skips,
-    x0_columns,
+    _x0_walk,
+    _xprime_walk,
     x0_supersingular_mask,
-    xprime_columns,
     xprime_supersingular_mask,
 )
 # bound here only for the benchmark's tracer, which wraps them
-from .tower import enumerate_x0, enumerate_xprime  # noqa: F401
+from .tower import (  # noqa: F401
+    degenerate_z_skips,
+    enumerate_x0,
+    enumerate_xprime,
+)
 
 
 class FieldContext:
@@ -126,11 +129,14 @@ class CountReport:
 def count_points(q: int, n: int, variant: str, m_first: int = 1,
                  m_last: Optional[int] = None,
                  ctx: Optional[FieldContext] = None) -> CountReport:
-    """Count the chosen tower over GF(q^2), ..., GF(q^(2*m_last)) on
-    the walks' coordinate columns, without building point objects.
+    """Count the chosen tower over GF(q^2), ..., GF(q^(2*m_last)).
 
-    The supersingular tally is always taken over GF(q^2) regardless of
-    the extension range, by the variant's supersingular row mask.
+    Each count sums the lengths of the walk's checked last-level blocks
+    (see tower._LastLevel), so no level-n row is kept and no point
+    object is built.  The supersingular tally is always taken over
+    GF(q^2) regardless of the extension range, by the variant's
+    supersingular row mask on the same blocks; the degenerate-Z tally
+    comes from the same walk.
     """
     if variant not in ("xprime", "x0"):
         raise ValueError(f"unknown tower variant {variant!r}")
@@ -140,23 +146,22 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
         raise ValueError("need 1 <= m_first <= m_last")
     ctx = ctx or FieldContext()
     if variant == "xprime":
-        columns, supersingular = xprime_columns, xprime_supersingular_mask
+        walk, supersingular = _xprime_walk, xprime_supersingular_mask
     else:
-        columns, supersingular = x0_columns, x0_supersingular_mask
+        walk, supersingular = _x0_walk, x0_supersingular_mask
     k1 = ctx.extension_of_k1(q, 1)
-    k1_columns = columns(q, n, k1)
-    ss = int(supersingular(q, k1, k1_columns).sum())
-    k1_count = len(k1_columns[0])  # the m = 1 row, without a second walk
-    del k1_columns
-    # right after x0_columns over the same field, this reuses its walk
-    skipped = degenerate_z_skips(q, n, k1) if variant == "x0" else None
+    k1_walk = walk(q, n, k1)
+    k1_count = ss = 0  # the m = 1 row, without a second walk
+    for block in k1_walk.blocks():
+        k1_count += len(block[0])
+        ss += int(supersingular(q, k1, block).sum())
     rows = []
     for m in range(m_first, m_last + 1):
         L = ctx.extension_of_k1(q, m)
-        count = k1_count if m == 1 else len(columns(q, n, L)[0])
+        count = k1_count if m == 1 else walk(q, n, L).count()
         rows.append(ExtensionCount(m, L.serialize(), L.size, count))
     return CountReport(q, n, variant, tuple(rows), ss,
-                       degenerate_z_skipped=skipped)
+                       degenerate_z_skipped=k1_walk.skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -349,12 +349,10 @@ def gfp_apply(mat, p: int, vals):
 # field specs and elements
 # ---------------------------------------------------------------------------
 
-_SPEC_CACHE: dict = {}
-
-
 def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None,
                cap: int = DEFAULT_CAP) -> "FieldSpec":
-    """Build (or fetch from cache) a validated GF(p^m) spec.
+    """Build (or fetch from a cache of the last 16) a validated GF(p^m)
+    spec.
 
     With modulus omitted the deterministic lexicographically first monic
     irreducible of degree m is used.
@@ -372,12 +370,13 @@ def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None,
         mod = first_irreducible(p, m)
     else:
         mod = tuple(int(c) % p for c in modulus)
-    key = (p, m, mod)
-    spec = _SPEC_CACHE.get(key)
-    if spec is None:
-        spec = FieldSpec(p, m, mod)
-        _SPEC_CACHE[key] = spec
-    return spec
+    return _field(p, m, mod)
+
+
+# bounded, as a spec keeps its exp/log tables: up to 128 MB each
+@functools.lru_cache(maxsize=16)
+def _field(p: int, m: int, modulus: tuple) -> "FieldSpec":
+    return FieldSpec(p, m, modulus)
 
 
 class FieldSpec:

@@ -33,15 +33,19 @@ directly.  The children of a row depend only on its last coordinate, so
 enumeration lists each tower's one-step edges once, as arrays of integer
 encodings (see finite_field), and grows every level through one bucket
 index, keeping the rows in lexicographic order, so its order is fixed.
+The last level is grown in checked blocks of parent rows (_LastLevel):
+the column functions copy the blocks into columns of known length, and
+a count adds up their lengths without keeping a level-n row.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .drinfeld import DrinfeldModule
 from .finite_field import (
+    _CHUNK,
     FieldElement,
     FieldSpec,
     embed,
@@ -335,15 +339,38 @@ def _read_only(cols: list) -> tuple:
     return tuple(cols)
 
 
+def _chunks(length: int):
+    """Slices of _CHUNK indices each, covering range(length)."""
+    return (slice(lo, lo + _CHUNK) for lo in range(0, length, _CHUNK))
+
+
+def _blockwise(fn, x):
+    """fn(x), computed _CHUNK entries at a time into one int64 array, so
+    that fn's temporaries stay the size of a block."""
+    import numpy as np
+    out = np.empty(len(x), dtype=np.int64)
+    for rows in _chunks(len(x)):
+        out[rows] = fn(x[rows])
+    return out
+
+
+def _bucket_starts(sources, size: int):
+    """The offsets of a bucket index (int32, size plus one): the running
+    count of the edge sources below each encoding."""
+    import numpy as np
+    starts = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(sources, minlength=size), out=starts[1:])
+    return starts
+
+
 def _expand(cols: list, starts, members, keys) -> list:
     """The rows of cols, each followed by every member of its key's bucket.
 
-    Bucket k is members[starts[k]:starts[k + 1]], where starts (int32,
-    field size plus one) is the running count of edge sources below each
-    encoding, so a lookup is two reads, with no search.  Rows given in
-    lexicographic order come out in lexicographic order without a sort:
-    each row's children follow it in row order, and every bucket lists
-    its members in ascending order.
+    Bucket k is members[starts[k]:starts[k + 1]], where starts comes from
+    _bucket_starts, so a lookup is two reads, with no search.  Rows given
+    in lexicographic order come out in lexicographic order without a
+    sort: each row's children follow it in row order, and every bucket
+    lists its members in ascending order.
     """
     import numpy as np
     lo = starts[keys]
@@ -359,6 +386,62 @@ def _expand(cols: list, starts, members, keys) -> list:
     return cols
 
 
+class _LastLevel(NamedTuple):
+    """A walk stopped one step short of level n: the level-(n-1) rows, the
+    bucket index that grows them, and the check every level-n row must
+    pass.
+
+    Row j of parents gets the bucket of keys[j] (see _expand); with
+    starts None, parents are the level-n rows themselves.  skipped is the
+    quotient walk's degenerate-Z tally, None for the x-coordinate tower.
+    """
+
+    parents: list
+    starts: Any
+    members: Any
+    keys: Any
+    check: Callable
+    skipped: Optional[int] = None
+
+    def blocks(self):
+        """The level-n rows in lexicographic order, grown from _CHUNK
+        parents at a time; check raises on a block before it is yielded."""
+        for rows in _chunks(len(self.parents[0])):
+            block = [c[rows] for c in self.parents]
+            if self.starts is not None:
+                block = _expand(block, self.starts, self.members,
+                                self.keys[rows])
+            self.check(block)
+            yield block
+
+    def count(self) -> int:
+        """The number of level-n rows, each checked, none kept."""
+        return sum(len(block[0]) for block in self.blocks())
+
+    def columns(self) -> tuple:
+        """The level-n rows as read-only columns, one int64 array of
+        integer encodings per coordinate, filled block by block.  Their
+        length, the sum of the parents' bucket widths, is known before
+        any row is grown."""
+        import numpy as np
+        if self.starts is None:
+            for _ in self.blocks():
+                pass
+            return _read_only(self.parents)
+        total = 0
+        for rows in _chunks(len(self.keys)):
+            keys = self.keys[rows]
+            total += int((self.starts[keys + 1] - self.starts[keys]).sum())
+        cols = [np.empty(total, dtype=np.int64)
+                for _ in range(len(self.parents) + 1)]
+        end = 0
+        for block in self.blocks():
+            start, end = end, end + len(block[0])
+            for c, b in zip(cols, block):
+                c[start:end] = b
+        return _read_only(cols)
+
+
 def xprime_relation_mask(q: int, field: FieldSpec, cols):
     """Row mask of the coordinate columns that TowerPoint accepts: nonzero
     coordinates, and z^q + z = a^(q+1) with z = a*b for consecutive a, b."""
@@ -371,15 +454,14 @@ def xprime_relation_mask(q: int, field: FieldSpec, cols):
     return ok
 
 
-def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
-    """The points of enumerate_xprime as read-only coordinate columns:
-    one int64 array of integer encodings per coordinate.
+def _xprime_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
+    """The x-coordinate walk, stopped before its last level.
 
     The edges x -> z/x with z^q + z = x^(q+1) are solved once for every
     x: z -> z^q + z is GF(p)-linear, so the solutions are one matrix
     product plus the q kernel elements, and none is 0 as x is not.
     Sorted, the edges are the level-2 rows, and _expand grows each
-    later level from them.
+    later level from them, keyed by the last coordinate.
     """
     import numpy as np
     if n < 2:
@@ -402,17 +484,24 @@ def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
     source, target = source[order], target[order]
     del order
     cols = [source, target]
-    if n > 2:
-        starts = np.zeros(field.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(source, minlength=field.size), out=starts[1:])
-        del source
-        for _ in range(n - 2):
-            cols = _expand(cols, starts, target, cols[-1])
-        del starts, target
-    cols = _read_only(cols)
-    if not xprime_relation_mask(q, field, cols).all():
-        raise RuntimeError("an enumerated point fails the tower relation")
-    return cols
+
+    def check(rows):
+        if not xprime_relation_mask(q, field, rows).all():
+            raise RuntimeError(
+                "an enumerated point fails the tower relation")
+
+    if n == 2:
+        return _LastLevel(cols, None, None, None, check)
+    starts = _bucket_starts(source, field.size)
+    for _ in range(n - 3):
+        cols = _expand(cols, starts, target, cols[-1])
+    return _LastLevel(cols, starts, target, cols[-1], check)
+
+
+def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
+    """The points of enumerate_xprime as read-only coordinate columns:
+    one int64 array of integer encodings per coordinate."""
+    return _xprime_walk(q, n, field).columns()
 
 
 def project_columns_to_x0(q: int, field: FieldSpec, cols) -> tuple:
@@ -466,44 +555,50 @@ def _z_backward(q: int, field: FieldSpec, z):
     return field.power_product((z, q), (_one_plus(field, z), 1 - q))
 
 
-@functools.lru_cache(maxsize=1)
-def _x0_walk(q: int, n: int, field: FieldSpec) -> tuple:
-    """Sorted coordinate columns (Z_2, ..., Z_n) of the level-n quotient
-    tower, and the degenerate-Z tally of the same walk.
+def _x0_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
+    """The quotient walk, stopped before its last level, and its
+    degenerate-Z tally.
 
     Z_2 ranges over the field minus -1.  Each later coordinate solves
     Z_{j+1} (1+Z_{j+1})^(q-1) = rhs(Z_j): the allowed values are grouped
     by their left side once, in ascending order within each bucket (the
     argsort is stable), and _expand gives every row the bucket of its
     right side.  A right side of 0, the left side of the excluded -1, is
-    a branch lost to Z = -1; the excluded seed counts once more.  Cached
-    for one field so that x0_columns and degenerate_z_skips share a walk.
+    a branch lost to Z = -1; the excluded seed counts once more.  Both
+    sides are computed _CHUNK values at a time.
     """
     import numpy as np
+    if n < 2:
+        raise ValueError("the quotient tower starts at level 2")
     _check_coordinate_field(q, field)
     field.tables()  # before anything of field size is allocated
     minus_one = field.p - 1  # encoding of the prime-field constant -1
     allowed = np.delete(np.arange(field.size, dtype=np.int64), minus_one)
+
+    def check(rows):
+        if any((c == minus_one).any() for c in rows):
+            raise RuntimeError("an enumerated point has Z = -1")
+        if not x0_recursion_mask(q, field, rows).all():
+            raise RuntimeError(
+                "an enumerated point fails the quotient recursion")
+
+    def right_sides(z):
+        return _blockwise(lambda block: _z_backward(q, field, block), z)
+
+    if n == 2:
+        return _LastLevel([allowed], None, None, None, check, 1)
+    keys = _blockwise(lambda block: _z_forward(q, field, block), allowed)
+    members = allowed[np.argsort(keys, kind="stable")]
+    starts = _bucket_starts(keys, field.size)
+    del keys
     cols = [allowed]
-    skipped = 1
-    if n > 2:
-        keys = _z_forward(q, field, allowed)
-        members = allowed[np.argsort(keys, kind="stable")]
-        starts = np.zeros(field.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys, minlength=field.size), out=starts[1:])
-        del keys
-        for _ in range(n - 2):
-            rhs = _z_backward(q, field, cols[-1])
-            skipped += int(np.count_nonzero(rhs == 0))
-            cols = _expand(cols, starts, members, rhs)
-            del rhs
-        del starts, members
-    cols = _read_only(cols)
-    if any((c == minus_one).any() for c in cols):
-        raise RuntimeError("an enumerated point has Z = -1")
-    if not x0_recursion_mask(q, field, cols).all():
-        raise RuntimeError("an enumerated point fails the quotient recursion")
-    return cols, skipped
+    rhs = right_sides(allowed)
+    skipped = 1 + int(np.count_nonzero(rhs == 0))
+    for _ in range(n - 3):
+        cols = _expand(cols, starts, members, rhs)
+        rhs = right_sides(cols[-1])
+        skipped += int(np.count_nonzero(rhs == 0))
+    return _LastLevel(cols, starts, members, rhs, check, skipped)
 
 
 def x0_recursion_mask(q: int, field: FieldSpec, cols):
@@ -521,9 +616,7 @@ def x0_recursion_mask(q: int, field: FieldSpec, cols):
 def x0_columns(q: int, n: int, field: FieldSpec) -> tuple:
     """The points of enumerate_x0 as read-only coordinate columns: one
     int64 array of integer encodings per coordinate."""
-    if n < 2:
-        raise ValueError("the quotient tower starts at level 2")
-    return _x0_walk(q, n, field)[0]
+    return _x0_walk(q, n, field).columns()
 
 
 def x0_supersingular_mask(q: int, field: FieldSpec, cols):
@@ -554,11 +647,10 @@ def degenerate_z_skips(q: int, n: int, field: FieldSpec) -> int:
     The excluded seed counts once; past that, a branch reaches -1 only
     from a tuple whose last coordinate makes the recursion's right side
     vanish.  Reported as a diagnostic next to the point counts; taken
-    from the same walk as enumerate_x0.
+    from the walk that enumerate_x0 grows, which tallies every level's
+    right sides before it expands the last one.
     """
-    if n < 2:
-        raise ValueError("the quotient tower starts at level 2")
-    return _x0_walk(q, n, field)[1]
+    return _x0_walk(q, n, field).skipped
 
 
 @functools.lru_cache(maxsize=64)

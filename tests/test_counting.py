@@ -80,6 +80,24 @@ def test_degenerate_z_diagnostic():
     assert count_points(2, 3, "xprime").degenerate_z_skipped is None
 
 
+def test_count_holds_no_level_n_column():
+    # count_points(4, 3, "x0", 4, 4) counts 65 531 rows of two int64
+    # columns over GF(2^16); it holds the walk's bucket index and the
+    # level-2 rows, but no level-3 column
+    import tracemalloc
+    ctx = FieldContext()
+    for m in (1, 4):
+        ctx.extension_of_k1(4, m).tables()
+    tracemalloc.start()
+    try:
+        report = count_points(4, 3, "x0", 4, 4, ctx=ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rows[0].count == 65531
+    assert peak < 7 * 8 * 2**16
+
+
 def test_report_rejects_wrong_tallies():
     row = ExtensionCount(1, "2^2/1,1,1", 4, 6)
     with pytest.raises(RuntimeError, match="closed form"):

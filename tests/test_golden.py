@@ -24,7 +24,10 @@ up in sorted keys, before it indexed them by encoding.  The last five
 (x-coordinate towers up to level 6, a non-default modulus at level 4,
 odd p in csv at level 3) were recorded while the x-coordinate walk
 still solved and sorted its frontier at every level, before both walks
-expanded their rows through one bucket index.
+expanded their rows through one bucket index.  The last three (x0
+counts at level 4 for q = 2, 3 and 4, the last in csv) were recorded
+while count_points still built every level-n column only to read its
+length, before the count took its rows from the walks' checked blocks.
 """
 
 import contextlib
@@ -134,6 +137,13 @@ GOLDEN = [
      "8744208f98998e14efbb5edd7341b00e3f3e1f46abe0ce98e0d53ee898ce03d4"),
     (('count', '--q', '3', '--n', '5', '--ext', '1..3'),
      "517c1f2ab17b3c31efb815dbd044565d81264bc538f1bf92e11db80f358e3a3c"),
+    (('count', '--q', '2', '--n', '4', '--variant', 'x0', '--ext', '1..7'),
+     "a63f8f390025926993d3f0e80f3a6c0ae22ece5910337244cab49388b9aec133"),
+    (('count', '--q', '3', '--n', '4', '--variant', 'x0', '--ext', '1..2'),
+     "a824af00888e3b329d10e1f0b0cdf964d6d9f90acf00300e87c3911494b7d9e2"),
+    (('count', '--q', '4', '--n', '4', '--variant', 'x0', '--ext', '1..3',
+      '--format', 'csv'),
+     "aa8222b5027e951d096f8c447091fa62230d830495a9224b7322ce139fe41f94"),
 ]
 
 

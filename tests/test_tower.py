@@ -513,11 +513,12 @@ def test_serialization():
     assert pt.project_to_x0().serialize() == ["0,1"]
 
 
-def test_walk_checks_reject_corrupted_columns():
+def test_walk_checks_reject_corrupted_columns(monkeypatch):
     # the row masks that replace per-point validation must flag a single
     # bad coordinate, and only its row
     import numpy as np
-    from drintower import tower
+    from drintower import counting, tower
+    from drintower.counting import count_points
     gf16 = make_field(2, 4)
     cols = [c.copy() for c in xprime_columns(2, 3, gf16)]
     assert tower.xprime_relation_mask(2, gf16, cols).all()
@@ -544,6 +545,48 @@ def test_walk_checks_reject_corrupted_columns():
     assert np.flatnonzero(
         ~tower.x0_recursion_mask(2, gf16, zcols)).tolist() == [0]
 
+    # one wrong bucket member fails the columns, and the count, which
+    # keeps no row: over GF(q^2), where it takes the tallies, and over
+    # an extension, where it only counts
+    for variant in ("xprime", "x0"):
+        walk = getattr(tower, f"_{variant}_walk")
+        with pytest.raises(RuntimeError, match="enumerated point fails"):
+            _corrupt_bucket_member(2, gf16, walk(2, 3, gf16),
+                                   variant).columns()
+        for m in (1, 2):
+            def broken(q, n, field, walk=walk, m=m):
+                level = walk(q, n, field)
+                if field.size != q ** (2 * m):
+                    return level
+                return _corrupt_bucket_member(q, field, level, variant)
+
+            monkeypatch.setattr(counting, f"_{variant}_walk", broken)
+            with pytest.raises(RuntimeError, match="enumerated point fails"):
+                count_points(2, 3, variant, 1, m)
+            monkeypatch.undo()
+
+
+def _corrupt_bucket_member(q, field, level, variant):
+    """The walk with one member of the bucket of parent row j replaced by
+    a value that breaks the row's relation, for the first row j whose
+    bucket is not empty (and, for x', whose last coordinate is not 1)."""
+    import numpy as np
+    from drintower import tower
+    starts, keys = level.starts, level.keys
+    width = starts[keys + 1] - starts[keys]
+    usable = width > 0
+    if variant == "xprime":
+        usable &= keys != 1  # x -> x + 1 moves z = a*x by a
+    i = starts[keys[np.flatnonzero(usable)[0]]]
+    members = level.members.copy()
+    if variant == "xprime":
+        members[i] ^= 1
+    else:
+        forward = tower._z_forward(q, field, np.arange(field.size))
+        members[i] = next(v for v in range(field.size) if v != field.p - 1
+                          and forward[v] != forward[members[i]])
+    return level._replace(members=members)
+
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_supersingular_masks_match_point_methods(q):
@@ -560,6 +603,50 @@ def test_supersingular_masks_match_point_methods(q):
             expected = [pt.is_supersingular() for pt in enum(q, n, big)]
             assert keep.tolist() == expected
             assert 0 < sum(expected) < len(expected)
+
+
+# (q, p, m): GF(16), GF(2^10), GF(2^8), GF(81) and GF(25)
+BLOCK_CASES = [(2, 2, 4), (2, 2, 10), (4, 2, 8), (3, 3, 4), (5, 5, 2)]
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_block_counts_match_column_lengths(monkeypatch, chunk):
+    # the count path reads the walk's last level in blocks of parents;
+    # with 5 parents a block, the blocks split the seeds and key passes
+    import numpy as np
+    from drintower import tower
+    from drintower.counting import count_points
+    walks = {"xprime": (tower._xprime_walk, tower.xprime_supersingular_mask),
+             "x0": (tower._x0_walk, tower.x0_supersingular_mask)}
+    cases = [(q, make_field(p, m), variant, n)
+             for q, p, m in BLOCK_CASES for variant in walks
+             for n in (2, 3, 4)]
+    reference = [walks[variant][0](q, n, field).columns()
+                 for q, field, variant, n in cases]
+    if chunk is not None:
+        monkeypatch.setattr(tower, "_CHUNK", chunk)
+    for (q, field, variant, n), cols in zip(cases, reference):
+        walk, supersingular = walks[variant]
+        level = walk(q, n, field)
+        count = ss = 0
+        for block in level.blocks():
+            count += len(block[0])
+            ss += int(supersingular(q, field, block).sum())
+        assert count == level.count() == len(cols[0]) > 0
+        assert ss == int(supersingular(q, field, cols).sum())
+        assert [c.tolist() for c in level.columns()] == \
+            [c.tolist() for c in cols]
+        if variant == "x0":
+            # a row ending in Z = 0 has right side 0 and loses one branch
+            # to -1; its one child, 0 again, keeps it in every later column
+            assert level.skipped == degenerate_z_skips(q, n, field) == \
+                1 + sum(int(np.count_nonzero(c == 0)) for c in cols[:-1])
+        ext, rem = divmod(field.m, 2 * prime_power(q)[1])
+        report = count_points(q, n, variant, ext, ext)
+        assert rem == 0 and report.rows[0].count == len(cols[0])
+        if ext == 1:
+            assert report.supersingular_count == ss
+            assert report.degenerate_z_skipped == level.skipped
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -594,9 +681,9 @@ def test_module_caches_are_bounded():
     from drintower import finite_field, linearized, tower
     for fn in (finite_field._embedding_powers,
                finite_field._embedding_section,
+               finite_field._field,
                finite_field.subfield_elements,
                linearized._solver_for,
-               tower._x0_walk,
                tower.supersingular_z_values):
         maxsize = fn.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, fn.__name__
