@@ -21,11 +21,11 @@ columns of the tower walks, and no per-point TowerPoint, X0Point or
 FieldElement is built: --supersingular-only is a row mask, and every
 check (tower relation, supersingular mask, encoding range) runs before
 the first byte is written.  The text before the points comes from the
-same renderers as every other report.  The points follow in blocks of
-RENDER_BLOCK rows, each rendered as one uint8 matrix from the byte
-tables of FieldSpec.text_tables in the exact layout of json.dumps
-(indent 2) or csv.writer, so the process holds the columns and one
-block of text, never the whole listing.
+same renderers as every other report.  The points follow in the row
+blocks of finite_field._chunks, each rendered as one uint8 matrix from
+the byte tables of FieldSpec.text_tables in the exact layout of
+json.dumps (indent 2) or csv.writer, so the process holds the columns
+and one block of text, never the whole listing.
 
 count and verify read the same columns: count takes its supersingular
 tally from the variant's row mask, and verify checks the columns
@@ -52,8 +52,8 @@ from .counting import (
     hermitian_affine_count,
     zeta_consistency,
 )
-from .finite_field import CapExceededError, DEFAULT_CAP, make_field, \
-    prime_power
+from .finite_field import CapExceededError, DEFAULT_CAP, _chunks, \
+    make_field, prime_power
 from .tower import (
     TowerPoint,
     _x0_walk,
@@ -77,9 +77,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
-
-# rows of an enumerate listing rendered and written at once
-RENDER_BLOCK = 2**14
 
 
 class UsageError(Exception):
@@ -304,11 +301,11 @@ def _render_rows(tables: tuple, cols: list, head: str, sep: str,
 
 def _write_rows(field, cols: list, head: str, sep: str, tail: str,
                 skip: int = 0) -> None:
-    """Write the rows of cols (see _render_rows) to stdout in blocks of
-    RENDER_BLOCK rows, leaving out the first skip characters."""
+    """Write the rows of cols (see _render_rows) to stdout one _chunks
+    block of rows at a time, leaving out the first skip characters."""
     tables = field.text_tables()
-    for start in range(0, len(cols[0]), RENDER_BLOCK):
-        block = [c[start:start + RENDER_BLOCK] for c in cols]
+    for rows in _chunks(len(cols[0])):
+        block = [c[rows] for c in cols]
         sys.stdout.write(_render_rows(tables, block, head, sep, tail)[skip:])
         skip = 0
 

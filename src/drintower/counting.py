@@ -26,6 +26,7 @@ from typing import Optional
 from .finite_field import (
     DEFAULT_CAP,
     FieldSpec,
+    _chunks,
     make_field,
     prime_power,
 )
@@ -168,16 +169,11 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
 # the quadratic level: full-model counts and maximality
 # ---------------------------------------------------------------------------
 
-# x values per block of hermitian_affine_count, which bounds its arrays
-# to a few times 8 MB apart from the field's tables
-HERMITIAN_BLOCK = 2**20
-
-
 def hermitian_affine_count(q: int, m: int = 1,
                            ctx: Optional[FieldContext] = None) -> int:
     """Points of z^q + z = x^(q+1) over the size-q^(2m) field, zeros
-    included, counted by a linear solvability test on HERMITIAN_BLOCK
-    values of x at a time."""
+    included, counted by a linear solvability test on one _chunks block
+    of x values at a time."""
     import numpy as np
     ctx = ctx or FieldContext()
     L = ctx.extension_of_k1(q, m)
@@ -186,9 +182,8 @@ def hermitian_affine_count(q: int, m: int = 1,
     solver = _solver_for(trace, L)
     fiber = q  # solvable fibers are cosets of the kernel, which is full here
     solvable = 0
-    for start in range(0, L.size, HERMITIAN_BLOCK):
-        x = np.arange(start, min(start + HERMITIAN_BLOCK, L.size),
-                      dtype=np.int64)
+    for rows in _chunks(L.size):
+        x = np.arange(rows.start, rows.stop, dtype=np.int64)
         solvable += int(np.count_nonzero(
             solver.consistent_ints(L.power_product((x, q + 1)))))
     return fiber * solvable

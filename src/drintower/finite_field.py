@@ -49,15 +49,13 @@ high halves of the digits (FieldSpec.text_tables).
 from __future__ import annotations
 
 import functools
+import weakref
 from typing import Iterator, Optional, Sequence
 
 DEFAULT_CAP = 2**24
 TABLE_BUDGET = 2**24
-# rows of a base-p digit matrix held at once by the array helpers
+# entries per block of every field-sized array pass (see _chunks)
 _CHUNK = 2**14
-# table entries computed or checked at once while building exp/log
-# tables, so the build holds no field-sized temporary
-_TABLE_CHUNK = 2**18
 
 
 class CapExceededError(RuntimeError):
@@ -292,12 +290,13 @@ def _digits(vals, p: int, width: int):
     return vals[:, None] // p ** np.arange(width, dtype=np.int64) % p
 
 
-def _digit_chunks(vals, p: int, width: int):
-    """(rows, digit matrix) pairs covering vals, _CHUNK rows at a time, so
-    no (len(vals), width) int64 matrix is ever held whole."""
-    for start in range(0, len(vals), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        yield rows, _digits(vals[rows], p, width)
+def _chunks(length: int):
+    """Slices of at most _CHUNK indices covering range(length) in order,
+    the last one clipped at length, so start and stop are exact bounds.
+    A pass over them holds temporaries, such as a digit matrix, the size
+    of one block."""
+    return (slice(lo, min(lo + _CHUNK, length))
+            for lo in range(0, length, _CHUNK))
 
 
 def _halves(p: int, m: int) -> tuple:
@@ -340,8 +339,8 @@ def gfp_apply(mat, p: int, vals):
             out ^= table[(vals >> lo) & (len(table) - 1)]
         return out
     out = np.empty(len(vals), dtype=np.int64)
-    for rows, digits in _digit_chunks(vals, p, mat.shape[1]):
-        out[rows] = digits @ mat.T % p @ weights
+    for rows in _chunks(len(vals)):
+        out[rows] = _digits(vals[rows], p, mat.shape[1]) @ mat.T % p @ weights
     return out
 
 
@@ -351,8 +350,8 @@ def gfp_apply(mat, p: int, vals):
 
 def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None,
                cap: int = DEFAULT_CAP) -> "FieldSpec":
-    """Build (or fetch from a cache of the last 16) a validated GF(p^m)
-    spec.
+    """Build a validated GF(p^m) spec, or return the one already alive
+    for the same p, m and modulus (the last 16 are kept alive).
 
     With modulus omitted the deterministic lexicographically first monic
     irreducible of degree m is used.
@@ -373,10 +372,18 @@ def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None,
     return _field(p, m, mod)
 
 
+# every spec still alive, so that a key has one spec, and one set of
+# tables, even after _field has dropped it while another cache keeps it
+_live_specs: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
 # bounded, as a spec keeps its exp/log tables: up to 128 MB each
 @functools.lru_cache(maxsize=16)
 def _field(p: int, m: int, modulus: tuple) -> "FieldSpec":
-    return FieldSpec(p, m, modulus)
+    spec = _live_specs.get((p, m, modulus))
+    if spec is None:
+        spec = _live_specs[p, m, modulus] = FieldSpec(p, m, modulus)
+    return spec
 
 
 class FieldSpec:
@@ -514,7 +521,7 @@ class FieldSpec:
         Multiplying by the constant g^b is a GF(p)-linear map, so each
         block is one matrix product on base-p digits, and the matrix of
         g^(2b) is the square of the matrix of g^b.  Blocks are written,
-        and log is filled and checked, _TABLE_CHUNK entries at a time.
+        and log is filled and checked, one _chunks block at a time.
         """
         if self.size > TABLE_BUDGET:
             raise CapExceededError(
@@ -536,21 +543,19 @@ class FieldSpec:
         b = 1
         while b < order:
             k = min(b, order - b)
-            for lo in range(0, k, _TABLE_CHUNK):
-                hi = min(lo + _TABLE_CHUNK, k)
-                exp[b + lo:b + hi] = gfp_apply(step, p, exp[lo:hi])
+            for rows in _chunks(k):
+                exp[b:][rows] = gfp_apply(step, p, exp[rows])
             step = step @ step % p
             b *= 2
-        spans = [(lo, min(lo + _TABLE_CHUNK, order))
-                 for lo in range(0, order, _TABLE_CHUNK)]
         log = np.zeros(self.size, dtype=np.int32)
-        for lo, hi in spans:
-            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+        for rows in _chunks(order):
+            log[exp[rows]] = np.arange(rows.start, rows.stop, dtype=np.int32)
         # every nonzero element exactly once, and g^order = 1
         last = _unpack(exp.item(-1), p, m)
         if exp.min() < 1 or not all(
-                np.array_equal(log[exp[lo:hi]], np.arange(lo, hi))
-                for lo, hi in spans) \
+                np.array_equal(log[exp[rows]],
+                               np.arange(rows.start, rows.stop))
+                for rows in _chunks(order)) \
                 or self._mul_generic(last, gen.coeffs) != one:
             raise RuntimeError("discrete-log tables are not a bijection")
         self._log = log
@@ -645,8 +650,9 @@ class FieldSpec:
         p, m = self.p, self.m
         weights = p ** np.arange(m, dtype=np.int64)
         out = np.empty(len(a), dtype=np.int64)
-        for rows, da in _digit_chunks(a, p, m):
-            out[rows] = (da + _digits(b[rows], p, m)) % p @ weights
+        for rows in _chunks(len(a)):
+            out[rows] = (_digits(a[rows], p, m)
+                         + _digits(b[rows], p, m)) % p @ weights
         return out
 
     def elements_at(self, vals) -> list:

@@ -40,14 +40,13 @@ a count adds up their lengths without keeping a level-n row.
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, NamedTuple, Optional
 
 from .drinfeld import DrinfeldModule
 from .finite_field import (
-    _CHUNK,
     FieldElement,
     FieldSpec,
+    _chunks,
     embed,
     prime_power,
 )
@@ -339,11 +338,6 @@ def _read_only(cols: list) -> tuple:
     return tuple(cols)
 
 
-def _chunks(length: int):
-    """Slices of _CHUNK indices each, covering range(length)."""
-    return (slice(lo, lo + _CHUNK) for lo in range(0, length, _CHUNK))
-
-
 def _blockwise(fn, x):
     """fn(x), computed _CHUNK entries at a time into one int64 array, so
     that fn's temporaries stay the size of a block."""
@@ -458,10 +452,12 @@ def _xprime_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
     """The x-coordinate walk, stopped before its last level.
 
     The edges x -> z/x with z^q + z = x^(q+1) are solved once for every
-    x: z -> z^q + z is GF(p)-linear, so the solutions are one matrix
-    product plus the q kernel elements, and none is 0 as x is not.
-    Sorted, the edges are the level-2 rows, and _expand grows each
-    later level from them, keyed by the last coordinate.
+    x, one _chunks block of x at a time: z -> z^q + z is GF(p)-linear,
+    so the solutions are one matrix product plus the q kernel elements,
+    and none is 0 as x is not.  The sources ascend, so sorting each
+    source's targets puts the edges in (source, target) order; they are
+    the level-2 rows, and _expand grows each later level from them,
+    keyed by the last coordinate.
     """
     import numpy as np
     if n < 2:
@@ -470,19 +466,20 @@ def _xprime_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
     field.tables()  # before anything of field size is allocated
     solver = _solver_for(_trace_map(q, field), field)
     kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
-    rhs = field.power_product((np.arange(1, field.size, dtype=np.int64),
-                               q + 1))
-    source = np.flatnonzero(solver.consistent_ints(rhs))
-    z = field.add_ints(
-        np.repeat(solver.solve_ints(rhs[source]), len(kernel)),
-        np.tile(kernel, len(source)))
-    del rhs
-    source = np.repeat(source + 1, len(kernel))
-    target = field.power_product((z, 1), (source, -1))
-    del z
-    order = np.argsort(source * field.size + target, kind="stable")
-    source, target = source[order], target[order]
-    del order
+    sources, targets = [], []
+    for rows in _chunks(field.size - 1):
+        x = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64)
+        rhs = field.power_product((x, q + 1))
+        ok = solver.consistent_ints(rhs)
+        x = x[ok]
+        z = field.add_ints(np.repeat(solver.solve_ints(rhs[ok]), len(kernel)),
+                           np.tile(kernel, len(x)))
+        t = field.power_product((z, 1), (np.repeat(x, len(kernel)), -1))
+        sources.append(x)
+        targets.append(np.sort(t.reshape(-1, len(kernel)), axis=1).ravel())
+    source = np.repeat(np.concatenate(sources), len(kernel))
+    target = np.concatenate(targets)
+    del sources, targets
     cols = [source, target]
 
     def check(rows):
@@ -653,7 +650,6 @@ def degenerate_z_skips(q: int, n: int, field: FieldSpec) -> int:
     return _x0_walk(q, n, field).skipped
 
 
-@functools.lru_cache(maxsize=64)
 def supersingular_z_values(q: int, k1: FieldSpec) -> tuple:
     """The q supersingular Z-values inside GF(q^2).
 

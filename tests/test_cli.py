@@ -453,8 +453,8 @@ def test_point_blocks_match_json_dumps_and_csv_writer(p, m, capsys,
                                                       monkeypatch):
     # GF(251^5) is left out: no walk lists points past the table budget
     import numpy as np
-    from drintower import cli
-    monkeypatch.setattr(cli, "RENDER_BLOCK", 5)
+    from drintower import cli, finite_field
+    monkeypatch.setattr(finite_field, "_CHUNK", 5)
     field = make_field(p, m)
     rng = np.random.default_rng(100 * p + m)
     meta = {"tool": "drintower", "count": 0,

@@ -224,11 +224,24 @@ def test_field_context_overrides():
         tight.extension_of_k1(2, 2)
 
 
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 5), (3, 3), (4, 3), (5, 2),
+                                 (9, 1)])
+def test_hermitian_count_is_level_two_count_plus_x_zero_fiber(
+        q, m, monkeypatch):
+    # two solves of z^q + z = x^(q+1): the Hermitian count over every x,
+    # and the level-2 x' walk over x != 0 without z = 0; they differ by
+    # the q points (0, z) with z^q + z = 0; blocks of 7 split the seeds
+    from drintower import finite_field
+    monkeypatch.setattr(finite_field, "_CHUNK", 7)
+    assert hermitian_affine_count(q, m) == \
+        count_points(q, 2, "xprime", m, m).rows[0].count + q
+
+
 @pytest.mark.parametrize("q,m", [(2, 6), (3, 3)])
 def test_hermitian_count_in_blocks_matches_closed_form(q, m, monkeypatch):
     # GF(2^12) and GF(3^6) walked in many short blocks, the last one
     # partial; the count is q^(2m) - q(q-1)(-q)^m
-    from drintower import counting
-    monkeypatch.setattr(counting, "HERMITIAN_BLOCK", 1000)
+    from drintower import finite_field
+    monkeypatch.setattr(finite_field, "_CHUNK", 1000)
     assert hermitian_affine_count(q, m) == \
         q ** (2 * m) - q * (q - 1) * (-q) ** m

@@ -51,6 +51,24 @@ def test_make_field_rejects_reducible():
         make_field(2, 2, (1, 0, 1))
 
 
+def test_make_field_returns_the_live_spec_after_eviction():
+    # GF(2^12) leaves the 16-entry spec cache while the solver cache still
+    # holds it with its tables; make_field must return that spec, not
+    # build a second one with a second set of tables
+    import weakref
+    from drintower.linearized import LinearizedPoly, _solver_for
+    spec = make_field(2, 12)
+    spec.tables()
+    _solver_for(LinearizedPoly.from_ints(2, spec, [1, 1]), spec)
+    alive = weakref.ref(spec)
+    del spec
+    primes = [p for p in range(3, 100) if all(p % d for d in range(2, p))]
+    for p in primes[:18]:
+        make_field(p, 1)
+    assert alive() is not None
+    assert make_field(2, 12) is alive() and alive()._exp is not None
+
+
 def test_default_modulus_gf9_is_lex_first():
     assert make_field(3, 2).modulus == (1, 0, 1)
 
@@ -373,7 +391,7 @@ def test_table_path_never_encodes_digits(monkeypatch):
 def test_tables_built_in_small_chunks_are_bit_identical(p, m, monkeypatch):
     from drintower import finite_field
     whole = FieldSpec(p, m, first_irreducible(p, m)).tables()
-    monkeypatch.setattr(finite_field, "_TABLE_CHUNK", 100)
+    monkeypatch.setattr(finite_field, "_CHUNK", 100)
     chunked = FieldSpec(p, m, first_irreducible(p, m)).tables()
     for a, b in zip(whole, chunked):
         assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -612,9 +612,10 @@ BLOCK_CASES = [(2, 2, 4), (2, 2, 10), (4, 2, 8), (3, 3, 4), (5, 5, 2)]
 @pytest.mark.parametrize("chunk", [None, 5])
 def test_block_counts_match_column_lengths(monkeypatch, chunk):
     # the count path reads the walk's last level in blocks of parents;
-    # with 5 parents a block, the blocks split the seeds and key passes
+    # with 5 entries a block, the blocks split the x' edge solve, the
+    # seeds and the key passes
     import numpy as np
-    from drintower import tower
+    from drintower import finite_field, tower
     from drintower.counting import count_points
     walks = {"xprime": (tower._xprime_walk, tower.xprime_supersingular_mask),
              "x0": (tower._x0_walk, tower.x0_supersingular_mask)}
@@ -624,7 +625,7 @@ def test_block_counts_match_column_lengths(monkeypatch, chunk):
     reference = [walks[variant][0](q, n, field).columns()
                  for q, field, variant, n in cases]
     if chunk is not None:
-        monkeypatch.setattr(tower, "_CHUNK", chunk)
+        monkeypatch.setattr(finite_field, "_CHUNK", chunk)
     for (q, field, variant, n), cols in zip(cases, reference):
         walk, supersingular = walks[variant]
         level = walk(q, n, field)
@@ -678,12 +679,11 @@ def test_xprime_mask_rejects_supersingular_row_leaving_gf_q2():
 
 
 def test_module_caches_are_bounded():
-    from drintower import finite_field, linearized, tower
+    from drintower import finite_field, linearized
     for fn in (finite_field._embedding_powers,
                finite_field._embedding_section,
                finite_field._field,
                finite_field.subfield_elements,
-               linearized._solver_for,
-               tower.supersingular_z_values):
+               linearized._solver_for):
         maxsize = fn.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, fn.__name__
