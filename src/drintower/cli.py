@@ -27,12 +27,12 @@ the byte tables of FieldSpec.text_tables in the exact layout of
 json.dumps (indent 2) or csv.writer, so the process holds the columns
 and one block of text, never the whole listing.
 
-count and verify read the same columns: count takes its supersingular
-tally from the variant's row mask, and verify checks the columns
-through the row masks that the walks raise on, and the pair identities
-through ids of the twisted-polynomial compositions at each element of
-GF(q^2)*.  The one point object a command builds is verify's sample
-for the act(c*d) = act(c).act(d) check, with its images under act.
+count sums the lengths of the walk's checked blocks and the set bits of
+their supersingular row masks, keeping no level-n column; verify checks
+the level-3 columns through the row masks the walks raise on, and the pair
+identities through ids of the twisted-polynomial compositions at each
+element of GF(q^2)*.  The one point object a command builds is verify's
+sample for the act(c*d) = act(c).act(d) check, with its images under act.
 """
 
 from __future__ import annotations

@@ -32,10 +32,13 @@ in any field of at most TABLE_BUDGET elements: by the first scalar
 product, inverse or power, or by the whole-field array walks of the
 tower and counting modules; a walk over a larger field raises
 CapExceededError before allocating.  Scalar operations past the budget
-take the schoolbook path on digit tuples, which stays the reference the
-table path is tested against (results are bit-identical).  The
-matrices of GF(p)-linear maps are built from schoolbook products too,
-so building a solver never builds tables by itself.
+take the schoolbook path: products and powers of digit tuples in
+GF(p)[x] modulo the modulus (_pmul, _pmod, _ppowmod), the polynomial
+arithmetic that the Rabin test and the Euclid inverse use too.  It
+stays the reference the table path is tested against (results are
+bit-identical).  The matrices of multiplication and of the Frobenius
+powers come from one column builder on the same products, so building
+a solver never builds tables by itself.
 
 The array helpers below work on numpy arrays of integer encodings:
 multiplicative monomials through the tables, addition digit by digit
@@ -73,27 +76,29 @@ def _ptrim(a: list) -> list:
 
 
 def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+            j = i
+            for bj in b:
+                out[j] = (out[j] + ai * bj) % p
+                j += 1
     return _ptrim(out)
 
 
 def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list:
-    # f must be monic
+    # f must be monic; each step subtracts only its nonzero lower terms
     r = list(a)
     df = len(f) - 1
-    while len(r) - 1 >= df and r:
-        c = r[-1]
-        if c:
-            shift = len(r) - 1 - df
-            for j, fj in enumerate(f):
-                r[shift + j] = (r[shift + j] - c * fj) % p
-        r.pop()
+    if len(r) > df:
+        low = [j for j in range(df) if f[j]]
+        for top in range(len(r) - 1, df - 1, -1):
+            c = r[top]
+            if c:
+                shift = top - df
+                for j in low:
+                    r[shift + j] = (r[shift + j] - c * f[j]) % p
+        del r[df:]
     return _ptrim(r)
 
 
@@ -137,14 +142,16 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list:
 
 
 def _ppowmod(g: Sequence[int], e: int, f: Sequence[int], p: int) -> list:
+    """g^e mod the monic polynomial f, for e >= 0."""
     result = [1]
     base = list(g)
-    while e:
+    while True:
         if e & 1:
             result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = _pmod(_pmul(base, base, p), f, p)
 
 
 def _p_power_x(k: int, f: Sequence[int], p: int) -> list:
@@ -190,22 +197,12 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
         raise ValueError("modulus must be monic of degree >= 1")
     if m == 1:
         return True
-    top = _p_power_x(m, f, p)
     x_poly = _pmod([0, 1], f, p)
-    diff = [(a - b) % p for a, b in
-            zip(top + [0] * (len(x_poly) - len(top)),
-                x_poly + [0] * (len(top) - len(x_poly)))]
-    if _ptrim(diff):
+    if _psub(_p_power_x(m, f, p), x_poly, p):
         return False
     for r in _prime_divisors(m):
-        sub = _p_power_x(m // r, f, p)
-        d = [(a - b) % p for a, b in
-             zip(sub + [0] * (len(x_poly) - len(sub)),
-                 x_poly + [0] * (len(sub) - len(x_poly)))]
-        d = _ptrim(d)
-        if not d:
-            return False
-        if len(_pgcd(f, d, p)) > 1:
+        d = _psub(_p_power_x(m // r, f, p), x_poly, p)
+        if not d or len(_pgcd(f, d, p)) > 1:
             return False
     return True
 
@@ -402,18 +399,6 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus
         self.size = p**m
-        # x^(m+j) mod modulus for j = 0..m-2, used to fold products back
-        rows = []
-        cur = [(-c) % p for c in modulus[:-1]]
-        rows.append(tuple(cur))
-        for _ in range(m - 2):
-            nxt = [0] + cur
-            top = nxt.pop()
-            if top:
-                nxt = [(a + top * b) % p for a, b in zip(nxt, rows[0])]
-            rows.append(tuple(nxt))
-            cur = nxt
-        self._red_rows = rows
         self._frob_cache: dict = {}
         # exp/log tables (numpy int32), built together by _build_tables
         self._exp = None
@@ -482,7 +467,8 @@ class FieldSpec:
 
     # -- internal arithmetic -------------------------------------------------
     # _add, _mul and _inv work on integer encodings; _mul_generic and
-    # _pow_generic on digit tuples, as the schoolbook reference
+    # _pow_generic are the GF(p)[x] helpers' product and power mod the
+    # modulus, as m digits: the schoolbook reference
 
     def _add(self, a: int, b: int, sign: int = 1) -> int:
         """Encoding of a + sign * b: XOR for p = 2, else digit by digit."""
@@ -497,23 +483,15 @@ class FieldSpec:
             w *= p
         return out
 
-    def _mul_generic(self, a: tuple, b: tuple) -> tuple:
-        p, m = self.p, self.m
-        if m == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        out = conv[:m]
-        for j in range(m - 1):
-            c = conv[m + j]
-            if c:
-                row = self._red_rows[j]
-                for i in range(m):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
+    def _mul_generic(self, a: Sequence[int], b: Sequence[int]) -> tuple:
+        return self._pad(_pmod(_pmul(a, b, self.p), self.modulus, self.p))
+
+    def _pow_generic(self, a: Sequence[int], n: int) -> tuple:
+        return self._pad(_ppowmod(a, n, self.modulus, self.p))
+
+    def _pad(self, poly: list) -> tuple:
+        """The m digits of a reduced polynomial."""
+        return tuple(poly) + (0,) * (self.m - len(poly))
 
     def _build_tables(self) -> None:
         """exp/log tables by block doubling: exp[b:2b] = g^b * exp[0:b].
@@ -532,9 +510,8 @@ class FieldSpec:
         order = self.size - 1
         one = self.one().coeffs
         divisors = _prime_divisors(order)
-        # for m > 1 the prime-field constants 1..p-1 cannot be primitive
         gen = next(g for g in (FieldElement(self, n)
-                               for n in range(p if m > 1 else 1, self.size))
+                               for n in range(order, 0, -1))
                    if all(self._pow_generic(g.coeffs, order // f) != one
                           for f in divisors))
         exp = np.empty(order, dtype=np.int32)
@@ -560,16 +537,6 @@ class FieldSpec:
             raise RuntimeError("discrete-log tables are not a bijection")
         self._log = log
         self._exp = exp
-
-    def _pow_generic(self, a: tuple, n: int) -> tuple:
-        out = self.one().coeffs
-        base = a
-        while n:
-            if n & 1:
-                out = self._mul_generic(out, base)
-            base = self._mul_generic(base, base)
-            n >>= 1
-        return out
 
     def _has_tables(self) -> bool:
         """Whether scalar operations use the tables; the first one in a
@@ -702,35 +669,25 @@ class FieldSpec:
         """Matrix of x -> x^(p^k) on the power basis (columns are images)."""
         k %= self.m
         mat = self._frob_cache.get(k)
-        if mat is not None:
-            return mat
-        if k == 0:
-            mat = gfp_identity(self.m)
-        elif k == 1:
-            # schoolbook products, as in multiplication_matrix; m >= 2
-            # here, since k is reduced mod m
-            cols = []
-            xpow = self._pow_generic((0, 1) + (0,) * (self.m - 2), self.p)
-            cur = self.one().coeffs
-            for _ in range(self.m):
-                cols.append(cur)
-                cur = self._mul_generic(cur, xpow)
-            mat = [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
-        else:
-            mat = gfp_matmul(self.frobenius_matrix(1),
-                             self.frobenius_matrix(k - 1), self.p)
-        self._frob_cache[k] = mat
+        if mat is None:
+            mat = self._frob_cache[k] = self._columns(
+                self.one().coeffs, _p_power_x(k, self.modulus, self.p))
         return mat
 
     def multiplication_matrix(self, a: "FieldElement") -> list:
-        # schoolbook products: the table builder calls this
-        cols = []
-        base_x = (0, 1) + (0,) * (self.m - 2)
-        cur = a.coeffs
-        for _ in range(self.m):
-            cols.append(cur)
-            cur = self._mul_generic(cur, base_x) if self.m > 1 else cur
-        return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
+        """Matrix of y -> a*y on the power basis (columns are images)."""
+        return self._columns(a.coeffs, [0, 1])
+
+    def _columns(self, first: tuple, step: Sequence[int]) -> list:
+        """The m x m matrix whose column j holds the digits of
+        first * step^j: the images of the basis x^j under y -> first*y
+        when step is x, under the p^k-power map when first is 1 and
+        step is x^(p^k).  Schoolbook products, so the table builder can
+        call it."""
+        cols = [first]
+        for _ in range(self.m - 1):
+            cols.append(self._mul_generic(cols[-1], step))
+        return [list(row) for row in zip(*cols)]
 
 
 class FieldElement:
@@ -946,10 +903,6 @@ def trace_to_subfield(a: FieldElement, sub: FieldSpec) -> FieldElement:
 # ---------------------------------------------------------------------------
 # linear algebra over GF(p)
 # ---------------------------------------------------------------------------
-
-def gfp_identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
 
 def gfp_matmul(a: list, b: list, p: int) -> list:
     n, k = len(a), len(b)

@@ -55,6 +55,36 @@ def test_supersingular_closed_forms(q, n):
     assert repz.supersingular_count == q ** (n - 1)
 
 
+def _gs_genus(q: int, n: int) -> Fraction:
+    """Genus of the n-th function field of the Garcia-Stichtenoth tower."""
+    if n % 2:
+        return q**n + q**(n - 1) - q**((n + 1) // 2) \
+            - 2 * q**((n - 1) // 2) + 1
+    return q**n + q**(n - 1) - Fraction(q**(n // 2 + 1), 2) \
+        - Fraction(3 * q**(n // 2), 2) - q**(n // 2 - 1) + 1
+
+
+def test_gs_genus_low_levels():
+    # a rational line, then the Hermitian curve of genus q(q-1)/2
+    for q in (2, 3, 4, 5):
+        assert _gs_genus(q, 1) == 0
+        assert _gs_genus(q, 2) == q * (q - 1) // 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_xprime_counts_within_hasse_weil(q, n):
+    # the x' tower is the Garcia-Stichtenoth tower, so its count over
+    # GF(q^(2m)) obeys the Hasse-Weil bound for genus g_n (the x0
+    # quotient has a smaller genus, so the bound says less there)
+    g = _gs_genus(q, n)
+    m_last = max(m for m in range(1, 9) if q**(2 * m) <= 2**16)
+    rep = count_points(q, n, "xprime", 1, m_last)
+    assert [row.m for row in rep.rows] == list(range(1, m_last + 1))
+    for row in rep.rows:
+        assert row.count <= q**(2 * row.m) + 1 + 2 * g * q**row.m, row
+
+
 def test_degenerate_z_diagnostic():
     # the excluded seed plus one all-zero branch per extension step
     from drintower.tower import degenerate_z_skips

@@ -12,6 +12,7 @@ from drintower.finite_field import (
     _LEX_FIRST,
     embed,
     first_irreducible,
+    gfp_apply,
     is_irreducible,
     make_field,
     prime_power,
@@ -180,6 +181,59 @@ def test_frobenius_is_e_fold_powering(p, m, q):
             want = want ** q
 
 
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 1, None), (2, 6, None), (2, 6, (1, 1, 0, 1, 1, 0, 1)),
+    (3, 4, None), (3, 4, (2, 1, 2, 2, 1)), (5, 3, None), (7, 2, None)])
+def test_frobenius_matrix_exhaustive(p, m, modulus):
+    # column j of frobenius_matrix(k) is the image of x^j, so the matrix
+    # applied to the digits of every a is a^(p^k), for every k < m
+    spec = FieldSpec(p, m, modulus or first_irreducible(p, m))
+    vals = np.arange(spec.size)
+    for k in range(m):
+        assert gfp_apply(spec.frobenius_matrix(k), p, vals).tolist() == \
+            [(a ** p**k).n for a in spec.elements()], k
+
+
+# a dense non-default irreducible modulus for each sympy cross-check
+_DENSE_MODULI = {
+    (2, 16): (1, 0, 1, 1, 0) + (1,) * 12,
+    (17, 4): (13, 16, 16, 16, 1),
+    (3, 10): (1, 1) + (2,) * 8 + (1,),
+    (2, 32): (1, 0, 1, 0) + (1,) * 29,
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(_DENSE_MODULI))
+@pytest.mark.parametrize("default_modulus", [True, False])
+def test_schoolbook_path_against_sympy(p, m, default_modulus):
+    # the digit-tuple products and powers share their GF(p)[x] arithmetic
+    # with the Rabin test, the Euclid inverse and every field matrix;
+    # sympy's gf_mul/gf_rem and gf_pow_mod are an independent oracle
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    modulus = first_irreducible(p, m) if default_modulus \
+        else _DENSE_MODULI[(p, m)]
+    f = list(reversed(modulus))
+    assert gt.gf_irreducible_p(f, p, ZZ)
+    spec = make_field(p, m, modulus, cap=2**40)
+
+    def big_endian(a):
+        return gt.gf_strip(list(reversed(a)))
+
+    def digits(g):
+        return tuple(reversed(g)) + (0,) * (m - len(g))
+
+    rng = random.Random(f"sympy {p}^{m}:{default_modulus}")
+    for i in range(100):
+        a, b = (tuple(rng.randrange(p) for _ in range(m)) for _ in range(2))
+        n = (0, 1, spec.size - 1)[i] if i < 3 \
+            else rng.randrange(3 * spec.size)
+        assert spec._mul_generic(a, b) == digits(gt.gf_rem(
+            gt.gf_mul(big_endian(a), big_endian(b), p, ZZ), f, p, ZZ))
+        assert spec._pow_generic(a, n) == \
+            digits(gt.gf_pow_mod(big_endian(a), n, f, p, ZZ))
+
+
 def test_trace_examples():
     gf2 = make_field(2, 1)
     gf4 = make_field(2, 2)
@@ -274,22 +328,34 @@ def test_log_table_path_bit_identical(p, m):
         zero ** -1
 
 
-def test_primitive_search_skips_prime_field_constants():
-    # for m > 1 the constants 1..p-1 cannot generate GF(p^m)*, so the
-    # search starts at encoding p and tries every encoding from there up
-    # to the generator exp[1]
-    spec = FieldSpec(3, 4, first_irreducible(3, 4))
+def _search_bases(spec):
+    """The encodings _build_tables raises to powers, in order of first
+    use, while it searches for a primitive element."""
     bases = []
     pow_generic = spec._pow_generic
 
     def record(a, n):
-        bases.append(_int_encode(a, 3))
+        bases.append(_int_encode(a, spec.p))
         return pow_generic(a, n)
 
     spec._pow_generic = record
     spec._build_tables()
-    assert bases and min(bases) >= 3
-    assert sorted(set(bases)) == list(range(3, int(spec._exp[1]) + 1))
+    return list(dict.fromkeys(bases))
+
+
+def test_primitive_search_runs_down_from_the_top():
+    # the search tries size-1, size-2, ... and stops at the generator
+    # exp[1]
+    spec = FieldSpec(3, 4, first_irreducible(3, 4))
+    assert _search_bases(spec) == \
+        list(range(spec.size - 1, int(spec._exp[1]) - 1, -1))
+    # no linear element is primitive modulo the binomial x^4 + 3, which
+    # an upward search from p had to try in turn (291 candidates)
+    modulus = first_irreducible(17, 4)
+    assert modulus == (3, 0, 0, 0, 1)
+    spec = FieldSpec(17, 4, modulus)
+    bases = _search_bases(spec)
+    assert bases[-1] == spec._exp[1] and len(bases) <= 10
 
 
 # a non-default irreducible modulus for each sampled table check
