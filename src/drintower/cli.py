@@ -181,7 +181,7 @@ def _read_config_file(path: str) -> dict:
                     out.setdefault("modulus", []).append(value)
                 else:
                     out[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return out
 
@@ -519,6 +519,9 @@ def _cmd_zeta(cfg: RunConfig) -> int:
             "zeta is wired to the quadratic level (n = 2), the only one "
             "with a built-in projective count convention")
     ctx = cfg.context()
+    # every field before any count, so a range past the cap fails at once
+    for m in range(cfg.m_first, cfg.m_last + 1):
+        ctx.extension_of_k1(cfg.q, m)
     counts = [hermitian_affine_count(cfg.q, m, ctx) + 1
               for m in range(cfg.m_first, cfg.m_last + 1)]
     report = zeta_consistency(counts, cfg.genus, cfg.q**2)

@@ -151,6 +151,9 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
     else:
         walk, supersingular = _x0_walk, x0_supersingular_mask
     k1 = ctx.extension_of_k1(q, 1)
+    # every field before any walk, so a range past the cap fails at once
+    for m in range(m_first, m_last + 1):
+        ctx.extension_of_k1(q, m)
     k1_walk = walk(q, n, k1)
     k1_count = ss = 0  # the m = 1 row, without a second walk
     for block in k1_walk.blocks():

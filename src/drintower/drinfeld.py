@@ -6,13 +6,17 @@ the coefficient field.  The constant term map gamma(a) sends a in A to
 a(l0).  Everything downstream flows from a handful of exact identities
 on these actions: the J-invariant g^(q+1)/delta classifies modules up
 to geometric isomorphism, g = 0 detects supersingularity when l0 lies
-in k, and finite stable subspaces of torsion give isogenies by the
-monic product of (X - x) over the subspace.
+in k, and finite stable subspaces of torsion give isogenies by their
+monic subspace polynomials.
 
-The isogeny solver recovers the target module from the intertwining
-relation u * phi_T = psi_T * u by equating twisted coefficients from
-the top degree down; the system is triangular because the leading
-coefficient of u is a unit, and the remaining equations are then
+The isogeny solver builds that polynomial in the twisted ring by the
+recursion u_(V + kx) = (tau - u_V(x)^(q-1)) * u_V, one factor for each
+kernel point outside the span so far.  The points then span a subspace
+of q^(tau-degree of u) elements, so the kernel is a k-subspace exactly
+when that count is its size.  The target module comes from the
+intertwining relation u * phi_T = psi_T * u by equating twisted
+coefficients from the top degree down; the system is triangular with
+unit diagonal because u is monic, and the remaining equations are then
 checked wholesale so a bad kernel cannot slip through.
 """
 
@@ -22,13 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .finite_field import (
-    FieldElement,
-    FieldSpec,
-    embed,
-    prime_power,
-    subfield_elements,
-)
+from .finite_field import FieldElement, FieldSpec, embed, prime_power
 from .linearized import LinearizedPoly, kernel_in
 
 
@@ -196,24 +194,12 @@ class DrinfeldModule:
                 "delta": self.delta.serialize()}
 
 
-def _expand_kernel_product(points: list, spec: FieldSpec) -> list:
-    """Ordinary coefficients of the monic product of (X - x) over points."""
-    poly = [spec.one()]
-    for x in points:
-        nxt = [spec.zero()] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * x
-        poly = nxt
-    return poly
-
-
 def isogeny_from_kernel(module: DrinfeldModule, kernel: Iterable[FieldElement]):
     """Monic isogeny with the given kernel, and the isogenous module.
 
     The kernel must be a finite subspace over the base field k, stable
     under the T-action of the module.  Returns (u, target) where u is
-    the monic product of (X - x) over the kernel and target is the
+    the monic subspace polynomial of the kernel and target is the
     unique module with u * phi_T = psi_T * u.
     """
     pts = list(kernel)
@@ -236,55 +222,25 @@ def isogeny_from_kernel(module: DrinfeldModule, kernel: Iterable[FieldElement]):
         d += 1
     if q**d != len(pset):
         raise ValueError("kernel size is not a power of q")
-    scalars = subfield_elements(spec, q)
+    u = LinearizedPoly.identity(q, spec)
+    for x in pset:  # u does not depend on the order
+        a = u(x)
+        if a:
+            u = LinearizedPoly(q, (-a ** (q - 1), spec.one())) * u
+    # the points span a subspace of q^(tau-degree of u) elements
+    if u.tau_degree != d:
+        raise ValueError(f"kernel not closed: its k-span has "
+                         f"{q}^{u.tau_degree} elements")
     for x in pset:
-        for y in pset:
-            if x + y not in pset:
-                raise ValueError("kernel not closed under addition")
-        for s in scalars:
-            if s * x not in pset:
-                raise ValueError("kernel not closed under k-scaling")
         if phit(x) not in pset:
             raise ValueError("kernel not stable under the T-action")
 
-    ordinary = _expand_kernel_product(sorted(pset, key=FieldElement.to_int),
-                                      spec)
-    ucoeffs = [spec.zero()] * (d + 1)
-    for exp, c in enumerate(ordinary):
-        if not c:
-            continue
-        # only q-power exponents may survive for a subspace product
-        e = exp
-        i = 0
-        while e > 1 and e % q == 0:
-            e //= q
-            i += 1
-        if e != 1:
-            raise ValueError(
-                "kernel product is not linearized; bad kernel subspace")
-        ucoeffs[i] = c
-    u = LinearizedPoly(q, ucoeffs, spec)
-
-    m = list(phit.coeffs) + [spec.zero()] * (3 - len(phit.coeffs))
-    uc = {i: c for i, c in enumerate(u.coeffs)}
-    z = spec.zero()
-
-    def ucoeff(i):
-        return uc.get(i, z)
-
-    def lhs(s):
-        acc = z
-        for j in range(3):
-            i = s - j
-            if 0 <= i <= d and m[j]:
-                acc = acc + ucoeff(i) * m[j].frobenius(q, i)
-        return acc
-
-    lead = ucoeff(d)
-    n2 = lhs(d + 2) / lead.frobenius(q, 2)
-    n1 = (lhs(d + 1) - n2 * ucoeff(d - 1).frobenius(q, 2)) / lead.frobenius(q)
-    n0 = (lhs(d) - n1 * ucoeff(d - 1).frobenius(q)
-          - n2 * ucoeff(d - 2).frobenius(q, 2)) / lead
+    # top three coefficients of u * phi_T = psi_T * u, with u monic
+    lhs = (u * phit).coeffs
+    low = (spec.zero(),) * 2 + u.coeffs  # u_(d-2), u_(d-1) at d, d + 1
+    n2 = lhs[d + 2]
+    n1 = lhs[d + 1] - n2 * low[d + 1].frobenius(q, 2)
+    n0 = lhs[d] - n1 * low[d + 1].frobenius(q) - n2 * low[d].frobenius(q, 2)
 
     target = DrinfeldModule(q, n0, n1, n2)
     if not verify_isogeny(u, module, target):

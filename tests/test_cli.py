@@ -357,6 +357,31 @@ def test_bad_config_file(tmp_path, capsys):
     assert _run(capsys, "enumerate", "--config", str(cfg2))[0] == 2
     assert _run(capsys, "enumerate", "--config",
                 str(tmp_path / "missing.cfg"))[0] == 2
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"q = 2\n\xff\n")
+    code, out, err = _run(capsys, "enumerate", "--config", str(latin))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read config file")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--q", "4", "--n", "2", "--ext", "1..6", "--cap", "1048576"),
+    ("zeta", "--q", "4", "--n", "2", "--genus", "1", "--ext", "1..6",
+     "--cap", "1048576"),
+])
+def test_ext_range_past_the_cap_fails_before_any_count(argv, capsys,
+                                                       monkeypatch):
+    # GF(4^12) passes the cap: no walk or count below it runs first
+    from drintower import cli, counting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted before the cap check")
+
+    monkeypatch.setattr(counting, "_xprime_walk", refuse)
+    monkeypatch.setattr(cli, "hermitian_affine_count", refuse)
+    assert _run(capsys, *argv) == (
+        3, "", "error: field size 2^24 exceeds the cap 1048576\n")
 
 
 def test_workers_do_not_change_output(capsys):

@@ -254,6 +254,18 @@ def test_field_context_overrides():
         tight.extension_of_k1(2, 2)
 
 
+def test_count_range_past_the_cap_raises_before_walking(monkeypatch):
+    from drintower import counting
+    from drintower.finite_field import CapExceededError
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked before the cap check")
+
+    monkeypatch.setattr(counting, "_xprime_walk", refuse)
+    with pytest.raises(CapExceededError, match="2\\^24"):
+        count_points(4, 2, "xprime", 1, 6, FieldContext(cap=2**20))
+
+
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 5), (3, 3), (4, 3), (5, 2),
                                  (9, 1)])
 def test_hermitian_count_is_level_two_count_plus_x_zero_fiber(

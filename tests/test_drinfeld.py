@@ -9,7 +9,12 @@ from drintower.drinfeld import (
     isogeny_from_kernel,
     verify_isogeny,
 )
-from drintower.finite_field import embed, make_field, subfield_elements
+from drintower.finite_field import (
+    embed,
+    make_field,
+    prime_power,
+    subfield_elements,
+)
 from drintower.linearized import LinearizedPoly
 from drintower.tower import (
     kernel_line_poly,
@@ -194,6 +199,103 @@ def test_isogeny_rejects_bad_kernels():
         isogeny_from_kernel(ordinary, {gf4.zero(), w})
 
 
+def _oracle_isogeny(module, kernel):
+    """Brute-force (u, target): u read off the ordinary monic product of
+    (X - x) over the kernel at its q-power exponents, and the target
+    solved top-down by dividing through by u's leading coefficient."""
+    q = module.q
+    spec = next(iter(kernel)).spec
+    z = spec.zero()
+    poly = [spec.one()]
+    for x in sorted(kernel, key=lambda e: e.to_int()):
+        nxt = [z] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * x
+        poly = nxt
+    uc = {}
+    for exp, c in enumerate(poly):
+        if c:
+            e, i = exp, 0
+            while e > 1 and e % q == 0:
+                e, i = e // q, i + 1
+            assert e == 1, "the kernel product is not linearized"
+            uc[i] = c
+    d = max(uc)
+    u = LinearizedPoly(q, [uc.get(i, z) for i in range(d + 1)], spec)
+    m = module.phi_t().map_to(spec).coeffs
+
+    def lhs(s):
+        return sum((uc.get(s - j, z) * m[j].frobenius(q, s - j)
+                    for j in range(3) if 0 <= s - j <= d), z)
+
+    def ucf(i, e):
+        return uc.get(i, z).frobenius(q, e)
+
+    n2 = lhs(d + 2) / ucf(d, 2)
+    n1 = (lhs(d + 1) - n2 * ucf(d - 1, 2)) / ucf(d, 1)
+    n0 = (lhs(d) - n1 * ucf(d - 1, 1) - n2 * ucf(d - 2, 2)) / ucf(d, 0)
+    return u, DrinfeldModule(q, n0, n1, n2)
+
+
+def _subspaces(points, scalars, zero):
+    """Every k-subspace of the k-space points, grown one span at a time."""
+    found = {frozenset([zero])}
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for space in frontier:
+            for x in points:
+                if x not in space:
+                    span = frozenset(v + s * x for v in space
+                                     for s in scalars)
+                    if span not in found:
+                        found.add(span)
+                        grown.append(span)
+        frontier = grown
+    return found
+
+
+# (q, T-power, [(g, delta, degree of a field holding the torsion)],
+# number of k-subspaces of the torsion); g and delta encode GF(q^2)
+# elements, and l0 = 1
+_ORACLE_CASES = [
+    (2, 1, [(0, 1, 2), (1, 2, 4), (0, 2, 6)], 5),
+    (3, 1, [(0, 2, 2), (1, 5, 4), (0, 1, 4)], 6),
+    (4, 1, [(0, 1, 4), (1, 1, 12), (0, 6, 12)], 7),
+    (2, 2, [(0, 1, 4), (1, 1, 6), (1, 2, 8)], 67),
+    (3, 2, [(0, 2, 6)], 212),
+]
+
+
+@pytest.mark.parametrize("q,tpow,modules,n_subspaces", _ORACLE_CASES)
+def test_isogeny_matches_ordinary_product_oracle(q, tpow, modules,
+                                                 n_subspaces):
+    # every k-subspace of the T- or T^2-torsion: the stable ones give the
+    # oracle's u and target, the others are refused as not stable
+    p, r = prime_power(q)
+    k, L = make_field(p, r), make_field(p, 2 * r)
+    for g, delta, degree in modules:
+        module = DrinfeldModule(q, L.one(), L.from_int(g), L.from_int(delta))
+        field = make_field(p, degree)
+        torsion = module.torsion_points(APoly.T_power(k, tpow), field)
+        assert len(torsion) == q ** (2 * tpow)
+        phit = module.phi_t()
+        spaces = _subspaces(torsion, subfield_elements(field, q),
+                            field.zero())
+        assert len(spaces) == n_subspaces
+        stable = 0
+        for space in spaces:
+            if all(phit(x) in space for x in space):
+                stable += 1
+                assert isogeny_from_kernel(module, space) == \
+                    _oracle_isogeny(module, space)
+            else:
+                with pytest.raises(ValueError, match="stable"):
+                    isogeny_from_kernel(module, space)
+        assert stable == n_subspaces if tpow == 1 else stable < n_subspaces
+
+
 def test_verify_isogeny_examples():
     gf4 = _gf(2, 2)
     gf2 = _gf(2, 1)
@@ -352,3 +454,6 @@ def test_isogeny_degree_is_exact_power_of_q():
     for size in (2, 4, 8):
         with pytest.raises(ValueError, match="power of q"):
             isogeny_from_kernel(m, set(list(gf9.elements())[:size]))
+    # size q and 0 inside, but w + w is missing
+    with pytest.raises(ValueError, match="closed"):
+        isogeny_from_kernel(m, {gf9.zero(), w, w + gf9.one()})
