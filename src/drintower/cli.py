@@ -8,10 +8,10 @@ keys mirror the long flag names.
 
 Exit codes: 0 success, 1 verification failure (a failed identity in
 verify, a nonzero exact residual in zeta; the report is written either
-way), 2 usage error, 3 field-size cap exceeded.  Identical
-configuration produces byte-identical output.  --workers is accepted
-for compatibility and ignored: the whole-field walks run as array code
-in one thread.  main sets OPENBLAS_NUM_THREADS=1 for its own process,
+way) or output that cannot be written, 2 usage error, 3 field-size cap
+exceeded.  Identical configuration produces byte-identical output.
+--workers is accepted for compatibility and ignored: the whole-field
+walks run as array code in one thread.  main sets OPENBLAS_NUM_THREADS=1 for its own process,
 overriding an inherited value, before numpy is first imported: numpy
 would otherwise start an OpenBLAS thread pool that no integer array
 product uses.  Importing this module leaves the environment alone.
@@ -239,16 +239,9 @@ def _meta(cfg: RunConfig, command: str, ctx: FieldContext) -> dict:
         "version": __version__,
         "command": command,
         "config": cfg.echo(),
-        "fields_used": dict(sorted(ctx.used.items(),
-                                   key=lambda kv: (kv[0][0], kv[0][1]))),
+        "fields_used": {f"{p}^{m}": label
+                        for (p, m), label in ctx.used.items()},
     }
-
-
-def _json_meta(meta: dict) -> dict:
-    out = dict(meta)
-    out["fields_used"] = {f"{p}^{m}": label
-                          for (p, m), label in meta["fields_used"].items()}
-    return out
 
 
 def _emit_json(payload: dict) -> str:
@@ -258,9 +251,8 @@ def _emit_json(payload: dict) -> str:
 
 def _emit_csv(meta: dict, rows: list) -> str:
     buf = io.StringIO()
-    flat = _json_meta(meta)
-    for key in sorted(flat):
-        value = flat[key]
+    for key in sorted(meta):
+        value = meta[key]
         if isinstance(value, dict):
             value = json.dumps(value, sort_keys=True)
         buf.write(f"# {key}={value}\n")
@@ -268,6 +260,16 @@ def _emit_csv(meta: dict, rows: list) -> str:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
+
+
+def _write_report(cfg: RunConfig, meta: dict, body: dict,
+                  csv_rows: list) -> None:
+    """Write _emit_json of {"meta": meta, **body}, or _emit_csv of meta
+    and csv_rows, as cfg.format asks."""
+    if cfg.format == "json":
+        sys.stdout.write(_emit_json({"meta": meta, **body}))
+    else:
+        sys.stdout.write(_emit_csv(meta, csv_rows))
 
 
 def _render_rows(tables: tuple, cols: list, head: str, sep: str,
@@ -321,7 +323,7 @@ def _write_points(fmt: str, meta: dict, names: list, field,
         quote = '"' if field.m > 1 else ""
         _write_rows(field, cols, quote, f"{quote},{quote}", f"{quote}\n")
         return
-    text = _emit_json({"meta": _json_meta(meta), "points": []})
+    text = _emit_json({"meta": meta, "points": []})
     if not len(cols[0]):
         sys.stdout.write(text)
         return
@@ -452,15 +454,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
     records = identity_suite(cfg.q, ctx)
     meta = _meta(cfg, "verify", ctx)
     ok = all(rec["passed"] for rec in records)
-    if cfg.format == "json":
-        payload = {"meta": _json_meta(meta), "checks": records,
-                   "passed": ok}
-        sys.stdout.write(_emit_json(payload))
-    else:
-        rows = [["identity", "cases", "passed"]]
-        rows += [[rec["identity"], rec["cases"], rec["passed"]]
-                 for rec in records]
-        sys.stdout.write(_emit_csv(meta, rows))
+    rows = [["identity", "cases", "passed"]]
+    rows += [[rec["identity"], rec["cases"], rec["passed"]]
+             for rec in records]
+    _write_report(cfg, meta, {"checks": records, "passed": ok}, rows)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -494,14 +491,9 @@ def _cmd_count(cfg: RunConfig) -> int:
     report = count_points(cfg.q, cfg.n, cfg.variant, cfg.m_first,
                           cfg.m_last, ctx=ctx)
     meta = _meta(cfg, "count", ctx)
-    if cfg.format == "json":
-        payload = {"meta": _json_meta(meta), "report": report.to_json_dict()}
-        sys.stdout.write(_emit_json(payload))
-    else:
-        rows = report.csv_rows()
-        rows.append(["supersingular_over_k1", "", "",
-                     report.supersingular_count])
-        sys.stdout.write(_emit_csv(meta, rows))
+    rows = report.csv_rows()
+    rows.append(["supersingular_over_k1", "", "", report.supersingular_count])
+    _write_report(cfg, meta, {"report": report.to_json_dict()}, rows)
     return EXIT_OK
 
 
@@ -526,17 +518,13 @@ def _cmd_zeta(cfg: RunConfig) -> int:
               for m in range(cfg.m_first, cfg.m_last + 1)]
     report = zeta_consistency(counts, cfg.genus, cfg.q**2)
     meta = _meta(cfg, "zeta", ctx)
-    if cfg.format == "json":
-        payload = {"meta": _json_meta(meta), "report": report.to_json_dict()}
-        sys.stdout.write(_emit_json(payload))
-    else:
-        rows = [["m", "projective_count", "count_residual"]]
-        for i, (cnt, res) in enumerate(zip(report.counts,
-                                           report.count_residuals)):
-            rows.append([cfg.m_first + i, cnt, str(res)])
-        rows.append(["symmetry_residual", str(report.symmetry_residual), ""])
-        rows.append(["weil_deviation", report.weil_deviation, ""])
-        sys.stdout.write(_emit_csv(meta, rows))
+    rows = [["m", "projective_count", "count_residual"]]
+    for i, (cnt, res) in enumerate(zip(report.counts,
+                                       report.count_residuals)):
+        rows.append([cfg.m_first + i, cnt, str(res)])
+    rows.append(["symmetry_residual", str(report.symmetry_residual), ""])
+    rows.append(["weil_deviation", report.weil_deviation, ""])
+    _write_report(cfg, meta, {"report": report.to_json_dict()}, rows)
     return EXIT_OK if report.exact_residuals_zero() else EXIT_VERIFY_FAILED
 
 
@@ -599,13 +587,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        return _COMMANDS[args.command](cfg)
+        code = _COMMANDS[args.command](cfg)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except OSError as exc:
+        # only a write can fail here: _build_config reports a config file
+        # it cannot read as a usage error
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; that must not fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 1  # the exit code of the traceback this replaces
 
 
 if __name__ == "__main__":

@@ -34,15 +34,12 @@ from .linearized import LinearizedPoly, _solver_for
 from .tower import (
     _x0_walk,
     _xprime_walk,
+    degenerate_z_skips,
     x0_supersingular_mask,
     xprime_supersingular_mask,
 )
 # bound here only for the benchmark's tracer, which wraps them
-from .tower import (  # noqa: F401
-    degenerate_z_skips,
-    enumerate_x0,
-    enumerate_xprime,
-)
+from .tower import enumerate_x0, enumerate_xprime  # noqa: F401
 
 
 class FieldContext:
@@ -136,8 +133,8 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
     (see tower._LastLevel), so no level-n row is kept and no point
     object is built.  The supersingular tally is always taken over
     GF(q^2) regardless of the extension range, by the variant's
-    supersingular row mask on the same blocks; the degenerate-Z tally
-    comes from the same walk.
+    supersingular row mask on the same blocks.  The degenerate-Z tally
+    of x0 is its closed form n - 1 (see tower.degenerate_z_skips).
     """
     if variant not in ("xprime", "x0"):
         raise ValueError(f"unknown tower variant {variant!r}")
@@ -154,9 +151,8 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
     # every field before any walk, so a range past the cap fails at once
     for m in range(m_first, m_last + 1):
         ctx.extension_of_k1(q, m)
-    k1_walk = walk(q, n, k1)
     k1_count = ss = 0  # the m = 1 row, without a second walk
-    for block in k1_walk.blocks():
+    for block in walk(q, n, k1).blocks():
         k1_count += len(block[0])
         ss += int(supersingular(q, k1, block).sum())
     rows = []
@@ -164,8 +160,9 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
         L = ctx.extension_of_k1(q, m)
         count = k1_count if m == 1 else walk(q, n, L).count()
         rows.append(ExtensionCount(m, L.serialize(), L.size, count))
+    skipped = degenerate_z_skips(q, n, k1) if variant == "x0" else None
     return CountReport(q, n, variant, tuple(rows), ss,
-                       degenerate_z_skipped=k1_walk.skipped)
+                       degenerate_z_skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

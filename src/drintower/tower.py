@@ -33,9 +33,10 @@ directly.  The children of a row depend only on its last coordinate, so
 enumeration lists each tower's one-step edges once, as arrays of integer
 encodings (see finite_field), and grows every level through one bucket
 index, keeping the rows in lexicographic order, so its order is fixed.
-The last level is grown in checked blocks of parent rows (_LastLevel):
-the column functions copy the blocks into columns of known length, and
-a count adds up their lengths without keeping a level-n row.
+_expand grows every level in blocks of parent rows, into columns
+allocated once at their known length.  The walks stop one level short
+(_LastLevel), so a count can grow the last level one block at a time
+and add up the checked block lengths without keeping a level-n row.
 """
 
 from __future__ import annotations
@@ -364,20 +365,27 @@ def _expand(cols: list, starts, members, keys) -> list:
     _bucket_starts, so a lookup is two reads, with no search.  Rows given
     in lexicographic order come out in lexicographic order without a
     sort: each row's children follow it in row order, and every bucket
-    lists its members in ascending order.
+    lists its members in ascending order.  The columns are allocated once
+    at the summed bucket widths and filled one _chunks block of rows at a
+    time, so every temporary is the size of a block.
     """
     import numpy as np
-    lo = starts[keys]
-    width = starts[keys + 1] - lo
-    parent = np.repeat(np.arange(len(width)), width)
-    # a row's children start at output position cumsum(width) - width
-    offset = np.repeat(lo - (np.cumsum(width) - width), width)
-    del lo, width
-    offset += np.arange(len(parent))
-    cols = [c[parent] for c in cols]
-    del parent
-    cols.append(members[offset])
-    return cols
+    total = sum(int((starts[keys[rows] + 1] - starts[keys[rows]]).sum())
+                for rows in _chunks(len(keys)))
+    out = [np.empty(total, dtype=np.int64) for _ in range(len(cols) + 1)]
+    end = 0
+    for rows in _chunks(len(keys)):
+        lo = starts[keys[rows]]
+        width = starts[keys[rows] + 1] - lo
+        start, end = end, end + int(width.sum())
+        parent = np.repeat(np.arange(rows.start, rows.stop), width)
+        # a row's children start at block position cumsum(width) - width
+        offset = np.repeat(lo - (np.cumsum(width) - width), width)
+        offset += np.arange(end - start)
+        for c, o in zip(cols, out):
+            np.take(c, parent, out=o[start:end])
+        np.take(members, offset, out=out[-1][start:end])
+    return out
 
 
 class _LastLevel(NamedTuple):
@@ -386,8 +394,9 @@ class _LastLevel(NamedTuple):
     pass.
 
     Row j of parents gets the bucket of keys[j] (see _expand); with
-    starts None, parents are the level-n rows themselves.  skipped is the
-    quotient walk's degenerate-Z tally, None for the x-coordinate tower.
+    starts None, parents are the level-n rows themselves.  The last level
+    is grown by _expand like every other: whole in columns(), one block
+    of parents at a time in blocks() and count().
     """
 
     parents: list
@@ -395,7 +404,6 @@ class _LastLevel(NamedTuple):
     members: Any
     keys: Any
     check: Callable
-    skipped: Optional[int] = None
 
     def blocks(self):
         """The level-n rows in lexicographic order, grown from _CHUNK
@@ -414,25 +422,13 @@ class _LastLevel(NamedTuple):
 
     def columns(self) -> tuple:
         """The level-n rows as read-only columns, one int64 array of
-        integer encodings per coordinate, filled block by block.  Their
-        length, the sum of the parents' bucket widths, is known before
-        any row is grown."""
-        import numpy as np
-        if self.starts is None:
-            for _ in self.blocks():
-                pass
-            return _read_only(self.parents)
-        total = 0
-        for rows in _chunks(len(self.keys)):
-            keys = self.keys[rows]
-            total += int((self.starts[keys + 1] - self.starts[keys]).sum())
-        cols = [np.empty(total, dtype=np.int64)
-                for _ in range(len(self.parents) + 1)]
-        end = 0
-        for block in self.blocks():
-            start, end = end, end + len(block[0])
-            for c, b in zip(cols, block):
-                c[start:end] = b
+        integer encodings per coordinate, grown by one _expand and
+        checked one _chunks block of rows at a time."""
+        cols = self.parents
+        if self.starts is not None:
+            cols = _expand(cols, self.starts, self.members, self.keys)
+        for rows in _chunks(len(cols[0])):
+            self.check([c[rows] for c in cols])
         return _read_only(cols)
 
 
@@ -553,16 +549,13 @@ def _z_backward(q: int, field: FieldSpec, z):
 
 
 def _x0_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
-    """The quotient walk, stopped before its last level, and its
-    degenerate-Z tally.
+    """The quotient walk, stopped before its last level.
 
     Z_2 ranges over the field minus -1.  Each later coordinate solves
     Z_{j+1} (1+Z_{j+1})^(q-1) = rhs(Z_j): the allowed values are grouped
     by their left side once, in ascending order within each bucket (the
     argsort is stable), and _expand gives every row the bucket of its
-    right side.  A right side of 0, the left side of the excluded -1, is
-    a branch lost to Z = -1; the excluded seed counts once more.  Both
-    sides are computed _CHUNK values at a time.
+    right side.  Both sides are computed _CHUNK values at a time.
     """
     import numpy as np
     if n < 2:
@@ -573,8 +566,6 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
     allowed = np.delete(np.arange(field.size, dtype=np.int64), minus_one)
 
     def check(rows):
-        if any((c == minus_one).any() for c in rows):
-            raise RuntimeError("an enumerated point has Z = -1")
         if not x0_recursion_mask(q, field, rows).all():
             raise RuntimeError(
                 "an enumerated point fails the quotient recursion")
@@ -583,19 +574,15 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
         return _blockwise(lambda block: _z_backward(q, field, block), z)
 
     if n == 2:
-        return _LastLevel([allowed], None, None, None, check, 1)
+        return _LastLevel([allowed], None, None, None, check)
     keys = _blockwise(lambda block: _z_forward(q, field, block), allowed)
     members = allowed[np.argsort(keys, kind="stable")]
     starts = _bucket_starts(keys, field.size)
     del keys
     cols = [allowed]
-    rhs = right_sides(allowed)
-    skipped = 1 + int(np.count_nonzero(rhs == 0))
     for _ in range(n - 3):
-        cols = _expand(cols, starts, members, rhs)
-        rhs = right_sides(cols[-1])
-        skipped += int(np.count_nonzero(rhs == 0))
-    return _LastLevel(cols, starts, members, rhs, check, skipped)
+        cols = _expand(cols, starts, members, right_sides(cols[-1]))
+    return _LastLevel(cols, starts, members, right_sides(cols[-1]), check)
 
 
 def x0_recursion_mask(q: int, field: FieldSpec, cols):
@@ -639,15 +626,18 @@ def enumerate_x0(q: int, n: int, field: FieldSpec) -> list:
 
 def degenerate_z_skips(q: int, n: int, field: FieldSpec) -> int:
     """How many branches of the level-n quotient enumeration land on the
-    excluded value Z = -1.
+    excluded value Z = -1: n - 1, in every field.
 
-    The excluded seed counts once; past that, a branch reaches -1 only
-    from a tuple whose last coordinate makes the recursion's right side
-    vanish.  Reported as a diagnostic next to the point counts; taken
-    from the walk that enumerate_x0 grows, which tallies every level's
-    right sides before it expands the last one.
+    The excluded seed counts once.  Past it, a branch reaches -1, where
+    the left side Z (1+Z)^(q-1) is 0, only from a right side
+    Z^q / (1+Z)^(q-1) of 0, that is from a row ending in Z = 0; and the
+    one allowed child of 0 is 0 again.  So the all-zero row loses one
+    branch at each of the n - 2 steps past level 2.
     """
-    return _x0_walk(q, n, field).skipped
+    if n < 2:
+        raise ValueError("the quotient tower starts at level 2")
+    _check_coordinate_field(q, field)
+    return n - 1
 
 
 def supersingular_z_values(q: int, k1: FieldSpec) -> tuple:

@@ -452,6 +452,42 @@ def test_subprocess_entry_point():
     assert "supersingular_over_k1,,,6" in proc.stdout
 
 
+def _assert_one_error_line(returncode, stderr):
+    assert returncode == 1, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+
+
+def test_closed_pipe_is_one_error_line():
+    # the reader stops after 100 bytes of a listing of several megabytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "drintower", "enumerate", "--q", "2", "--n",
+         "2", "--ext", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    _assert_one_error_line(proc.wait(), stderr)
+    assert "cannot write output" in stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["enumerate", "count"])
+def test_full_device_is_one_error_line(command):
+    # the report fits the stdout buffer, so the write fails only when
+    # main flushes it
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "drintower", command, "--q", "2", "--n",
+             "2", "--ext", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=ENV)
+    _assert_one_error_line(proc.returncode, proc.stderr)
+    assert "No space left" in proc.stderr
+
+
 def test_emit_json_matches_json_dumps():
     import random
     from drintower.cli import _emit_json
@@ -483,7 +519,7 @@ def test_point_blocks_match_json_dumps_and_csv_writer(p, m, capsys,
     field = make_field(p, m)
     rng = np.random.default_rng(100 * p + m)
     meta = {"tool": "drintower", "count": 0,
-            "fields_used": {(p, m): field.serialize()}}
+            "fields_used": {f"{p}^{m}": field.serialize()}}
     for width in (1, 2, 3):
         names = [f"x{i}" for i in range(1, width + 1)]
         for rows in (0, 1, 4, 5, 6, 17):
@@ -492,7 +528,7 @@ def test_point_blocks_match_json_dumps_and_csv_writer(p, m, capsys,
                       for row in zip(*cols)]
             cli._write_points("json", meta, names, field, cols)
             assert capsys.readouterr().out == json.dumps(
-                {"meta": cli._json_meta(meta), "points": points},
+                {"meta": meta, "points": points},
                 indent=2, sort_keys=True) + "\n"
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerows([names] + points)

@@ -28,6 +28,9 @@ expanded their rows through one bucket index.  The last three (x0
 counts at level 4 for q = 2, 3 and 4, the last in csv) were recorded
 while count_points still built every level-n column only to read its
 length, before the count took its rows from the walks' checked blocks.
+The last one (verify in csv, whose branch no other case ran) was
+recorded while each command still wrote its own JSON or CSV report,
+before the commands shared one report writer and one meta form.
 """
 
 import contextlib
@@ -144,6 +147,8 @@ GOLDEN = [
     (('count', '--q', '4', '--n', '4', '--variant', 'x0', '--ext', '1..3',
       '--format', 'csv'),
      "aa8222b5027e951d096f8c447091fa62230d830495a9224b7322ce139fe41f94"),
+    (('verify', '--q', '2', '--format', 'csv'),
+     "2aec6bd4233f6223079e633a3ca4153530b459762b08c5cfd43c1d9c92b0ea40"),
 ]
 
 

@@ -544,6 +544,13 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
     zcols[0][0] = 1  # -1 as the left side of the recursion, too
     assert np.flatnonzero(
         ~tower.x0_recursion_mask(2, gf16, zcols)).tolist() == [0]
+    # the walk's check has no scan of its own for -1: a bucket member at
+    # -1 (the row (0, -1) here) fails the recursion mask
+    level = tower._x0_walk(2, 3, gf16)
+    members = level.members.copy()
+    members[level.starts[level.keys[0]]] = 1
+    with pytest.raises(RuntimeError, match="fails the quotient recursion"):
+        level._replace(members=members).columns()
 
     # one wrong bucket member fails the columns, and the count, which
     # keeps no row: over GF(q^2), where it takes the tallies, and over
@@ -613,7 +620,8 @@ BLOCK_CASES = [(2, 2, 4), (2, 2, 10), (4, 2, 8), (3, 3, 4), (5, 5, 2)]
 def test_block_counts_match_column_lengths(monkeypatch, chunk):
     # the count path reads the walk's last level in blocks of parents;
     # with 5 entries a block, the blocks split the x' edge solve, the
-    # seeds and the key passes
+    # seeds, the key passes and the growth of the middle levels, which
+    # up to level 5 must still give the unpatched columns
     import numpy as np
     from drintower import finite_field, tower
     from drintower.counting import count_points
@@ -621,7 +629,7 @@ def test_block_counts_match_column_lengths(monkeypatch, chunk):
              "x0": (tower._x0_walk, tower.x0_supersingular_mask)}
     cases = [(q, make_field(p, m), variant, n)
              for q, p, m in BLOCK_CASES for variant in walks
-             for n in (2, 3, 4)]
+             for n in (2, 3, 4, 5)]
     reference = [walks[variant][0](q, n, field).columns()
                  for q, field, variant, n in cases]
     if chunk is not None:
@@ -637,17 +645,37 @@ def test_block_counts_match_column_lengths(monkeypatch, chunk):
         assert ss == int(supersingular(q, field, cols).sum())
         assert [c.tolist() for c in level.columns()] == \
             [c.tolist() for c in cols]
+        skipped = None
         if variant == "x0":
             # a row ending in Z = 0 has right side 0 and loses one branch
             # to -1; its one child, 0 again, keeps it in every later column
-            assert level.skipped == degenerate_z_skips(q, n, field) == \
-                1 + sum(int(np.count_nonzero(c == 0)) for c in cols[:-1])
+            skipped = 1 + sum(int(np.count_nonzero(c == 0))
+                              for c in cols[:-1])
+            assert degenerate_z_skips(q, n, field) == skipped
         ext, rem = divmod(field.m, 2 * prime_power(q)[1])
         report = count_points(q, n, variant, ext, ext)
         assert rem == 0 and report.rows[0].count == len(cols[0])
+        assert report.degenerate_z_skipped == skipped
         if ext == 1:
             assert report.supersingular_count == ss
-            assert report.degenerate_z_skipped == level.skipped
+
+
+def test_degenerate_z_skips_is_closed_form_without_field_work(monkeypatch):
+    # n - 1 in every field: no table is built, no level is walked
+    from drintower import finite_field
+    big = make_field(2, 20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("degenerate_z_skips did field-sized work")
+
+    monkeypatch.setattr(finite_field.FieldSpec, "tables", refuse)
+    for q in (2, 4):
+        for n in (2, 3, 4, 9):
+            assert degenerate_z_skips(q, n, big) == n - 1
+    with pytest.raises(ValueError, match="level 2"):
+        degenerate_z_skips(2, 1, big)
+    with pytest.raises(ValueError, match="must contain"):
+        degenerate_z_skips(3, 3, big)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
