@@ -9,7 +9,8 @@ keys mirror the long flag names.
 Exit codes: 0 success, 1 verification failure (a failed identity in
 verify, a nonzero exact residual in zeta; the report is written either
 way) or output that cannot be written, 2 usage error, 3 field-size cap
-exceeded.  Identical configuration produces byte-identical output.
+exceeded, or a count that could pass 2^63 - 1.  Identical
+configuration produces byte-identical output.
 --workers is accepted for compatibility and ignored: the whole-field
 walks run as array code in one thread.  main sets OPENBLAS_NUM_THREADS=1 for its own process,
 overriding an inherited value, before numpy is first imported: numpy
@@ -27,9 +28,9 @@ the byte tables of FieldSpec.text_tables in the exact layout of
 json.dumps (indent 2) or csv.writer, so the process holds the columns
 and one block of text, never the whole listing.
 
-count sums the lengths of the walk's checked blocks and the set bits of
-their supersingular row masks, keeping no level-n column; verify checks
-the level-3 columns through the row masks the walks raise on, and the pair
+count takes its counts and tallies from the transfer weights of
+counting.count_points, keeping no row; verify checks the level-3
+columns through the row masks the walks raise on, and the pair
 identities through ids of the twisted-polynomial compositions at each
 element of GF(q^2)*.  The one point object a command builds is verify's
 sample for the act(c*d) = act(c).act(d) check, with its images under act.
@@ -56,7 +57,6 @@ from .finite_field import CapExceededError, DEFAULT_CAP, _chunks, \
     make_field, prime_power
 from .tower import (
     TowerPoint,
-    _x0_walk,
     cofactor_poly,
     kernel_line_poly,
     quotient_torsion_poly,
@@ -64,6 +64,7 @@ from .tower import (
     supersingular_z_values,
     torsion_poly,
     x0_columns,
+    x0_count,
     x0_recursion_mask,
     x0_supersingular_mask,
     xprime_columns,
@@ -384,8 +385,8 @@ def _suite_z_recursion(q, cols, k1):
     cases, failures = _pair_failures(k1, cols, [
         x0_recursion_mask(q, k1, zcols[j:j + 2])
         for j in range(len(zcols) - 1)])
-    # the quotient walk checks the recursion on every row it counts
-    return cases + _x0_walk(q, 3, k1).count(), failures
+    # and a case per level-3 quotient point, counted by transfer weights
+    return cases + x0_count(q, 3, k1), failures
 
 
 def _suite_z_set(q, k1):

@@ -13,8 +13,12 @@ recorded on every report:
   q^2 + 1 + 2*g*q with g = q(q-1)/2, which pins the whole zeta
   function: every inverse Frobenius root equals -q.
 
-The zeta solver works in exact rational arithmetic throughout; the only
-floating point appears in the advisory inverse-root magnitude report.
+Tower counts come from transfer weights, one exact integer per field
+element (see tower.x0_count and tower.xprime_count): memory is two
+weight arrays plus the field's tables, whatever the level, and a count
+whose bound passes 2^63 - 1 is refused up front.  The zeta solver works
+in exact rational arithmetic throughout; the only floating point
+appears in the advisory inverse-root magnitude report.
 """
 
 from __future__ import annotations
@@ -32,11 +36,10 @@ from .finite_field import (
 )
 from .linearized import LinearizedPoly, _solver_for
 from .tower import (
-    _x0_walk,
-    _xprime_walk,
+    _weight_dtype,
     degenerate_z_skips,
-    x0_supersingular_mask,
-    xprime_supersingular_mask,
+    x0_count,
+    xprime_count,
 )
 # bound here only for the benchmark's tracer, which wraps them
 from .tower import enumerate_x0, enumerate_xprime  # noqa: F401
@@ -129,12 +132,17 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
                  ctx: Optional[FieldContext] = None) -> CountReport:
     """Count the chosen tower over GF(q^2), ..., GF(q^(2*m_last)).
 
-    Each count sums the lengths of the walk's checked last-level blocks
-    (see tower._LastLevel), so no level-n row is kept and no point
-    object is built.  The supersingular tally is always taken over
-    GF(q^2) regardless of the extension range, by the variant's
-    supersingular row mask on the same blocks.  The degenerate-Z tally
-    of x0 is its closed form n - 1 (see tower.degenerate_z_skips).
+    Each count comes from transfer weights, one per field element (see
+    tower.x0_count and tower.xprime_count), so no row and no point
+    object is built, and a count holds two weight arrays beside the
+    field's tables at every level n.  The supersingular tally is always
+    taken over GF(q^2) regardless of the extension range: for x0, by the
+    same count restricted to the supersingular Z-values; for x', it is
+    the count over GF(q^2), where every point is supersingular.  The
+    degenerate-Z tally of x0 is its closed form n - 1 (see
+    tower.degenerate_z_skips).  Raises CapExceededError, before any
+    field-sized work, when a field of the range passes the cap or a
+    count in it could pass 2^63 - 1.
     """
     if variant not in ("xprime", "x0"):
         raise ValueError(f"unknown tower variant {variant!r}")
@@ -143,23 +151,22 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
     if not 1 <= m_first <= m_last:
         raise ValueError("need 1 <= m_first <= m_last")
     ctx = ctx or FieldContext()
-    if variant == "xprime":
-        walk, supersingular = _xprime_walk, xprime_supersingular_mask
-    else:
-        walk, supersingular = _x0_walk, x0_supersingular_mask
     k1 = ctx.extension_of_k1(q, 1)
-    # every field before any walk, so a range past the cap fails at once
+    # every field and its count bound before any count, so a range past
+    # the cap or past int64 fails at once
     for m in range(m_first, m_last + 1):
-        ctx.extension_of_k1(q, m)
-    k1_count = ss = 0  # the m = 1 row, without a second walk
-    for block in walk(q, n, k1).blocks():
-        k1_count += len(block[0])
-        ss += int(supersingular(q, k1, block).sum())
+        _weight_dtype(q, n, ctx.extension_of_k1(q, m))
+    if variant == "xprime":
+        count = xprime_count
+        ss = xprime_count(q, n, k1)
+    else:
+        count = x0_count
+        ss = x0_count(q, n, k1, supersingular=True)
     rows = []
     for m in range(m_first, m_last + 1):
         L = ctx.extension_of_k1(q, m)
-        count = k1_count if m == 1 else walk(q, n, L).count()
-        rows.append(ExtensionCount(m, L.serialize(), L.size, count))
+        total = ss if m == 1 and variant == "xprime" else count(q, n, L)
+        rows.append(ExtensionCount(m, L.serialize(), L.size, total))
     skipped = degenerate_z_skips(q, n, k1) if variant == "x0" else None
     return CountReport(q, n, variant, tuple(rows), ss,
                        degenerate_z_skipped=skipped)

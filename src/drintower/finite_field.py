@@ -590,22 +590,36 @@ class FieldSpec:
     def power_product(self, *factors):
         """Elementwise product of a_i ** e_i over factors (a_i, e_i).
 
-        Each a_i is an array of integer encodings.  Where a factor with
+        Each a_i is an array of integer encodings, of one shape (after
+        the first, a single encoding also does).  Where a factor with
         e_i > 0 is zero the product is zero; a zero factor with e_i < 0
-        raises ZeroDivisionError.
+        raises ZeroDivisionError.  The exponent sum is taken mod |F| - 1
+        in one int64 array, and the zero mask is built only for factors
+        that hold a zero.
         """
         import numpy as np
         exp, log = self.tables()
-        k = 0
-        zero = False
+        order = self.size - 1
+        k = zero = None
         for vals, e in factors:
             vals = np.asarray(vals)
-            if e < 0 and not vals.all():
-                raise ZeroDivisionError("division by zero in " + repr(self))
-            k = k + log[vals].astype(np.int64) * e
-            if e > 0:
-                zero = zero | (vals == 0)
-        return np.where(zero, 0, exp[k % (self.size - 1)].astype(np.int64))
+            if not vals.all():
+                if e < 0:
+                    raise ZeroDivisionError(
+                        "division by zero in " + repr(self))
+                if e > 0:
+                    zero = vals == 0 if zero is None else zero | (vals == 0)
+            term = log[vals].astype(np.int64)
+            term *= e % order
+            if k is None:
+                k = term
+            else:
+                k += term
+        k %= order
+        k[...] = exp[k]
+        if zero is not None:
+            k[zero] = 0
+        return k
 
     def add_ints(self, a, b):
         """Elementwise sum of two equal-length arrays of encodings."""

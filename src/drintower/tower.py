@@ -34,9 +34,13 @@ enumeration lists each tower's one-step edges once, as arrays of integer
 encodings (see finite_field), and grows every level through one bucket
 index, keeping the rows in lexicographic order, so its order is fixed.
 _expand grows every level in blocks of parent rows, into columns
-allocated once at their known length.  The walks stop one level short
-(_LastLevel), so a count can grow the last level one block at a time
-and add up the checked block lengths without keeping a level-n row.
+allocated once at their known length; enumerate and verify read those
+columns.  A count builds no row: it carries one weight per field
+element from level to level by exact integer scatter-adds, the number
+of rows ending in x (x', over the solved edges) or whose last Z has a
+given right side (x0, whose edges s -> t are f(t) = g(s) for the two
+sides f and g of the recursion).  So x0_count and xprime_count hold two
+weight arrays beside the tables at every level, and x' its edges too.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from .drinfeld import DrinfeldModule
 from .finite_field import (
+    CapExceededError,
     FieldElement,
     FieldSpec,
     _chunks,
@@ -394,9 +399,8 @@ class _LastLevel(NamedTuple):
     pass.
 
     Row j of parents gets the bucket of keys[j] (see _expand); with
-    starts None, parents are the level-n rows themselves.  The last level
-    is grown by _expand like every other: whole in columns(), one block
-    of parents at a time in blocks() and count().
+    starts None, parents are the level-n rows themselves.  columns()
+    grows the last level by _expand like every other.
     """
 
     parents: list
@@ -404,21 +408,6 @@ class _LastLevel(NamedTuple):
     members: Any
     keys: Any
     check: Callable
-
-    def blocks(self):
-        """The level-n rows in lexicographic order, grown from _CHUNK
-        parents at a time; check raises on a block before it is yielded."""
-        for rows in _chunks(len(self.parents[0])):
-            block = [c[rows] for c in self.parents]
-            if self.starts is not None:
-                block = _expand(block, self.starts, self.members,
-                                self.keys[rows])
-            self.check(block)
-            yield block
-
-    def count(self) -> int:
-        """The number of level-n rows, each checked, none kept."""
-        return sum(len(block[0]) for block in self.blocks())
 
     def columns(self) -> tuple:
         """The level-n rows as read-only columns, one int64 array of
@@ -444,25 +433,20 @@ def xprime_relation_mask(q: int, field: FieldSpec, cols):
     return ok
 
 
-def _xprime_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
-    """The x-coordinate walk, stopped before its last level.
+def _xprime_edge_blocks(q: int, field: FieldSpec):
+    """The edges x -> z/x with z^q + z = x^(q+1), solved one _chunks
+    block of nonzero x at a time.
 
-    The edges x -> z/x with z^q + z = x^(q+1) are solved once for every
-    x, one _chunks block of x at a time: z -> z^q + z is GF(p)-linear,
-    so the solutions are one matrix product plus the q kernel elements,
-    and none is 0 as x is not.  The sources ascend, so sorting each
-    source's targets puts the edges in (source, target) order; they are
-    the level-2 rows, and _expand grows each later level from them,
-    keyed by the last coordinate.
+    z -> z^q + z is GF(p)-linear, so the solutions are one matrix
+    product plus the q kernel elements, and none is 0 as x is not.
+    Yields (x, t): the solvable x of the block in ascending order, and
+    the (len(x), q) matrix of their targets, each row unsorted.
     """
     import numpy as np
-    if n < 2:
-        raise ValueError("the tower starts at level 2")
     _check_coordinate_field(q, field)
     field.tables()  # before anything of field size is allocated
     solver = _solver_for(_trace_map(q, field), field)
     kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
-    sources, targets = [], []
     for rows in _chunks(field.size - 1):
         x = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64)
         rhs = field.power_product((x, q + 1))
@@ -471,10 +455,25 @@ def _xprime_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
         z = field.add_ints(np.repeat(solver.solve_ints(rhs[ok]), len(kernel)),
                            np.tile(kernel, len(x)))
         t = field.power_product((z, 1), (np.repeat(x, len(kernel)), -1))
-        sources.append(x)
-        targets.append(np.sort(t.reshape(-1, len(kernel)), axis=1).ravel())
-    source = np.repeat(np.concatenate(sources), len(kernel))
-    target = np.concatenate(targets)
+        yield x, t.reshape(-1, len(kernel))
+
+
+def _xprime_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
+    """The x-coordinate walk, stopped before its last level.
+
+    The sources of _xprime_edge_blocks ascend, so sorting each source's
+    targets puts the edges in (source, target) order; they are the
+    level-2 rows, and _expand grows each later level from them, keyed
+    by the last coordinate.
+    """
+    import numpy as np
+    if n < 2:
+        raise ValueError("the tower starts at level 2")
+    sources, targets = [], []
+    for x, t in _xprime_edge_blocks(q, field):
+        sources.append(np.repeat(x, t.shape[1]))
+        targets.append(np.sort(t, axis=1).ravel())
+    source, target = np.concatenate(sources), np.concatenate(targets)
     del sources, targets
     cols = [source, target]
 
@@ -661,6 +660,135 @@ def supersingular_z_values(q: int, k1: FieldSpec) -> tuple:
         raise RuntimeError(
             "the three descriptions of the supersingular Z-set disagree")
     return tuple(sorted(roots, key=FieldElement.to_int))
+
+
+# ---------------------------------------------------------------------------
+# counting: transfer weights, one per field element
+# ---------------------------------------------------------------------------
+
+def _weight_dtype(q: int, n: int, field: FieldSpec):
+    """The dtype of the weights of a level-n count over the field: int32
+    while q^(n-1) < 2^31, else int64.
+
+    Both recursions have degree q, so a level-n count is at most
+    q^(n-1) (|F| - 1), and a weight, which counts the rows ending in
+    one key, at most q^(n-2).  Raises CapExceededError when the count
+    bound passes 2^63 - 1, where no int64 sum is exact.
+    """
+    import numpy as np
+    if q ** (n - 1) * (field.size - 1) > 2**63 - 1:
+        raise CapExceededError(
+            f"a level-{n} count over {field.p}^{field.m} can exceed "
+            f"2^63 - 1 points")
+    return np.int32 if q ** (n - 1) < 2**31 else np.int64
+
+
+def _checked_keys(keys, size: int):
+    if len(keys) and (keys.min() < 0 or keys.max() >= size):
+        raise RuntimeError("a transfer key lies outside the field")
+    return keys
+
+
+def _transfer(blocks, size: int, dtype, weights, gather, scatter):
+    """One step of a count by transfer weights.
+
+    Every block lists edges s -> t: gather(block) gives the keys of the
+    sources, scatter(block) those of the targets.  Each edge carries
+    weights[gather key] (1 with weights None), summed exactly by
+    np.add.at into a new accumulator indexed by scatter key (None with
+    scatter None).  Returns the accumulator and the total weight
+    carried, which must equal the accumulator's sum.
+    """
+    import numpy as np
+    out = None if scatter is None else np.zeros(size, dtype=dtype)
+    total = 0
+    for block in blocks:
+        if weights is None:
+            w = np.ones(len(block), dtype=dtype)
+        else:
+            w = weights[_checked_keys(gather(block), size)]
+        total += int(w.sum(dtype=np.int64))
+        if out is not None:
+            np.add.at(out, _checked_keys(scatter(block), size), w)
+    if out is not None and int(out.sum(dtype=np.int64)) != total:
+        raise RuntimeError("transfer weights were lost in a scatter")
+    return out, total
+
+
+def _count(n: int, blocks, size: int, dtype, gather, scatter) -> int:
+    """The number of level-n rows: n - 2 steps of _transfer carry the
+    weights from the level-2 rows up to level n - 1, over the edge
+    blocks that blocks() lists afresh each time, and a last step sums
+    them over the edges into level n."""
+    weights = None
+    for _ in range(n - 2):
+        weights, _ = _transfer(blocks(), size, dtype, weights, gather,
+                               scatter)
+    return _transfer(blocks(), size, dtype, weights, gather, None)[1]
+
+
+def xprime_count(q: int, n: int, field: FieldSpec) -> int:
+    """The number of points of xprime_columns(q, n, field), from
+    transfer weights.
+
+    The weight of x at level j is the number of level-j rows ending in
+    x.  The edges are solved once, and each is checked against the
+    tower relation; they are kept as int32 (source, target) pairs in
+    their solve blocks, unsorted, except at n = 2, whose count is their
+    number.
+    """
+    import numpy as np
+    if n < 2:
+        raise ValueError("the tower starts at level 2")
+    _check_coordinate_field(q, field)
+    dtype = _weight_dtype(q, n, field)
+    edges, total = [], 0
+    for x, t in _xprime_edge_blocks(q, field):
+        pairs = np.column_stack((np.repeat(x, t.shape[1]), t.ravel()))
+        if not xprime_relation_mask(q, field, pairs.T).all():
+            raise RuntimeError("an edge fails the tower relation")
+        total += len(pairs)
+        if n > 2:
+            edges.append(pairs.astype(np.int32))
+    if n == 2:
+        return total
+    return _count(n, lambda: iter(edges), field.size, dtype,
+                  lambda e: e[:, 0], lambda e: e[:, 1])
+
+
+def _x0_nodes(q: int, field: FieldSpec, supersingular: bool):
+    """The allowed Z, every value but -1, one _chunks block at a time;
+    with supersingular, only those with Z^(q+1) = 1."""
+    import numpy as np
+    for rows in _chunks(field.size):
+        z = np.arange(rows.start, rows.stop, dtype=np.int64)
+        keep = z != field.p - 1
+        if supersingular:
+            keep &= field.power_product((z, q + 1)) == 1
+        yield z[keep]
+
+
+def x0_count(q: int, n: int, field: FieldSpec,
+             supersingular: bool = False) -> int:
+    """The number of points of x0_columns(q, n, field), from transfer
+    weights; with supersingular, of those x0_supersingular_mask keeps.
+
+    The recursion has an edge s -> t exactly when f(t) = g(s), for
+    f = _z_forward and g = _z_backward, so the weights are indexed by
+    key: entry k at level j is the number of level-j rows whose last
+    coordinate has g = k.  Each step gathers the weight at f(t) and
+    adds it at g(t) for every allowed t, and f and g are computed
+    afresh for each _chunks block of t.  Beside the tables, the count
+    holds two field-sized arrays, the weights of two levels.
+    """
+    if n < 2:
+        raise ValueError("the quotient tower starts at level 2")
+    _check_coordinate_field(q, field)
+    dtype = _weight_dtype(q, n, field)
+    field.tables()  # before anything of field size is allocated
+    return _count(n, lambda: _x0_nodes(q, field, supersingular),
+                  field.size, dtype, lambda z: _z_forward(q, field, z),
+                  lambda z: _z_backward(q, field, z))
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,28 @@ def test_cap_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (("--q", "16", "--n", "20", "--variant", "x0", "--ext", "1"), "2^8"),
+    # GF(4) passes the bound at level 61, GF(16) does not
+    (("--q", "2", "--n", "61", "--ext", "1..2"), "2^4"),
+])
+def test_count_past_int64_exits_3_before_field_work(argv, field, capsys,
+                                                    monkeypatch):
+    # a count bound q^(n-1) (|F| - 1) past 2^63 - 1 is refused before any
+    # table, edge or weight array is allocated
+    from drintower import finite_field, tower
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field-sized work before the overflow guard")
+
+    monkeypatch.setattr(finite_field.FieldSpec, "tables", refuse)
+    monkeypatch.setattr(tower, "_transfer", refuse)
+    n = argv[argv.index("--n") + 1]
+    assert _run(capsys, "count", *argv) == (
+        3, "", f"error: a level-{n} count over {field} can exceed "
+               f"2^63 - 1 points\n")
+
+
 def test_walk_past_table_budget_exits_3(capsys):
     # the cap admits GF(2^26), but its tables would exceed the budget;
     # the walk is refused before it allocates anything of field size
@@ -378,7 +400,7 @@ def test_ext_range_past_the_cap_fails_before_any_count(argv, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("counted before the cap check")
 
-    monkeypatch.setattr(counting, "_xprime_walk", refuse)
+    monkeypatch.setattr(counting, "xprime_count", refuse)
     monkeypatch.setattr(cli, "hermitian_affine_count", refuse)
     assert _run(capsys, *argv) == (
         3, "", "error: field size 2^24 exceeds the cap 1048576\n")

@@ -233,6 +233,31 @@ def test_zeta_fills_by_functional_equation():
     assert rep.exact_residuals_zero()
 
 
+@pytest.mark.parametrize("q,variant", [(2, "x0"), (3, "x0"), (4, "x0"),
+                                       (2, "xprime"), (3, "xprime")])
+def test_closed_form_tally_at_level_20(q, variant):
+    # CountReport refuses a tally off its closed form; at level 20 the
+    # weights reach counts that no column walk could hold as rows
+    report = count_points(q, 20, variant, 1, 1)
+    assert report.supersingular_count == report.expected_supersingular()
+    assert report.rows[0].count >= report.supersingular_count
+    if (q, variant) == (4, "x0"):
+        assert report.supersingular_count == 4 ** 19 == 274877906944
+        assert report.rows[0].count == 274877906955
+
+
+def test_weight_dtype_follows_the_count_bound():
+    import numpy as np
+    from drintower.finite_field import CapExceededError
+    from drintower.tower import _weight_dtype
+    gf4 = make_field(2, 2)
+    assert _weight_dtype(2, 31, gf4) == np.int32  # 2^30 < 2^31
+    assert _weight_dtype(2, 32, gf4) == np.int64
+    assert _weight_dtype(2, 62, gf4) == np.int64  # 3 * 2^61 < 2^63
+    with pytest.raises(CapExceededError, match="level-63 count"):
+        _weight_dtype(2, 63, gf4)
+
+
 def test_counts_do_not_depend_on_field_model():
     # any irreducible modulus gives an isomorphic field, so all tallies
     # must agree with the default-model run
@@ -261,7 +286,7 @@ def test_count_range_past_the_cap_raises_before_walking(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("walked before the cap check")
 
-    monkeypatch.setattr(counting, "_xprime_walk", refuse)
+    monkeypatch.setattr(counting, "xprime_count", refuse)
     with pytest.raises(CapExceededError, match="2\\^24"):
         count_points(4, 2, "xprime", 1, 6, FieldContext(cap=2**20))
 

@@ -491,6 +491,52 @@ def test_array_arithmetic_matches_scalar(p, m):
         [e.coeffs for e in els]
 
 
+def _power_product_reference(spec, *factors):
+    """power_product as one unreduced exponent sum and one zero mask."""
+    exp, log = spec.tables()
+    k, zero = 0, False
+    for vals, e in factors:
+        vals = np.asarray(vals)
+        if e < 0 and not vals.all():
+            raise ZeroDivisionError
+        k = k + log[vals].astype(np.int64) * e
+        if e > 0:
+            zero = zero | (vals == 0)
+    return np.where(zero, 0, exp[k % (spec.size - 1)].astype(np.int64))
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 9), (3, 5), (17, 2)])
+def test_power_product_matches_unreduced_formula(p, m):
+    # exponents reduced mod |F| - 1, zeros, negative exponents and
+    # exponents at or past |F| - 1, on seeded arrays
+    spec = make_field(p, m)
+    order = spec.size - 1
+    rng = np.random.default_rng(1000 * p + m)
+    exponents = [0, 1, 2, -1, -3, order - 1, order, order + 1, 3 * order + 2,
+                 -order, -order - 5]
+    for trial in range(40):
+        length = int(rng.integers(0, 50))
+        count = int(rng.integers(1, 4))
+        arrays = [rng.integers(0 if rng.random() < 0.5 else 1, spec.size,
+                               length) for _ in range(count)]
+        factors = [(a, int(rng.choice(exponents))) for a in arrays]
+        try:
+            want = _power_product_reference(spec, *factors)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                spec.power_product(*factors)
+            continue
+        got = spec.power_product(*factors)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    zeros = np.array([0, 1, 0, 2])
+    assert spec.power_product((zeros, order)).tolist() == [0, 1, 0, 1]
+    assert spec.power_product((zeros, 0)).tolist() == [1, 1, 1, 1]
+    assert spec.power_product((zeros, 1), (3, 2)).tolist() == \
+        _power_product_reference(spec, (zeros, 1), (3, 2)).tolist()
+    with pytest.raises(ZeroDivisionError):
+        spec.power_product((zeros, -order))
+
+
 @pytest.mark.parametrize("p,rows,cols", [(2, 5, 7), (2, 9, 9), (3, 4, 3),
                                          (5, 3, 4)])
 def test_solver_arrays_match_scalar_solve(p, rows, cols):

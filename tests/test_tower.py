@@ -517,7 +517,7 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
     # the row masks that replace per-point validation must flag a single
     # bad coordinate, and only its row
     import numpy as np
-    from drintower import counting, tower
+    from drintower import tower
     from drintower.counting import count_points
     gf16 = make_field(2, 4)
     cols = [c.copy() for c in xprime_columns(2, 3, gf16)]
@@ -552,25 +552,36 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
     with pytest.raises(RuntimeError, match="fails the quotient recursion"):
         level._replace(members=members).columns()
 
-    # one wrong bucket member fails the columns, and the count, which
-    # keeps no row: over GF(q^2), where it takes the tallies, and over
-    # an extension, where it only counts
+    # one wrong bucket member fails the columns
     for variant in ("xprime", "x0"):
         walk = getattr(tower, f"_{variant}_walk")
         with pytest.raises(RuntimeError, match="enumerated point fails"):
             _corrupt_bucket_member(2, gf16, walk(2, 3, gf16),
                                    variant).columns()
-        for m in (1, 2):
-            def broken(q, n, field, walk=walk, m=m):
-                level = walk(q, n, field)
-                if field.size != q ** (2 * m):
-                    return level
-                return _corrupt_bucket_member(q, field, level, variant)
 
-            monkeypatch.setattr(counting, f"_{variant}_walk", broken)
-            with pytest.raises(RuntimeError, match="enumerated point fails"):
-                count_points(2, 3, variant, 1, m)
+    # the count reads no bucket: it fails on a key outside the field,
+    # over GF(q^2), where it takes the tallies, and over an extension,
+    # where it only counts
+    backward = tower._z_backward
+    for m in (1, 2):
+        for shift in (-1, 1):
+            def shifted(q, field, z, shift=shift, m=m):
+                keys = backward(q, field, z)
+                if field.size == q ** (2 * m):
+                    keys[:1] += shift * field.size
+                return keys
+
+            monkeypatch.setattr(tower, "_z_backward", shifted)
+            with pytest.raises(RuntimeError, match="outside the field"):
+                count_points(2, 3, "x0", 1, m)
             monkeypatch.undo()
+    # and on a level whose scattered total differs from its gathered
+    # total: int8 weights wrap past 127 in a level-12 count over GF(4)
+    monkeypatch.setattr(tower, "_weight_dtype",
+                        lambda q, n, field: np.int8)
+    for variant in ("xprime", "x0"):
+        with pytest.raises(RuntimeError, match="lost in a scatter"):
+            count_points(2, 12, variant, 1, 1)
 
 
 def _corrupt_bucket_member(q, field, level, variant):
@@ -612,52 +623,136 @@ def test_supersingular_masks_match_point_methods(q):
             assert 0 < sum(expected) < len(expected)
 
 
+def _weights_match_columns(q, field, variant, levels):
+    """The transfer count of each level n against the column walk's
+    levels 2..n: the count is the length of the level-n columns, every
+    weight array the walk scatters equals a bincount of the columns, and
+    the supersingular count (x0) and tally (x') equal the mask sums.
+
+    The x' weight of x at level j counts the level-j rows ending in x;
+    the x0 weight of k counts those whose last Z has _z_backward = k.
+    """
+    import numpy as np
+    from drintower import tower
+    from drintower.counting import count_points
+    mask = getattr(tower, f"{variant}_supersingular_mask")
+    real = tower._transfer
+    for n in range(2, len(levels) + 2):
+        weights = []
+
+        def spy(*args):
+            out = real(*args)
+            if out[0] is not None:
+                weights.append(out[0])
+            return out
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(tower, "_transfer", spy)
+            count = getattr(tower, f"{variant}_count")(q, n, field)
+        assert count == len(levels[n - 2][0])
+        assert len(weights) == n - 2
+        for cols, got in zip(levels, weights):
+            last = cols[-1]
+            if variant == "x0":
+                last = tower._z_backward(q, field, last)
+            assert np.array_equal(got, np.bincount(last,
+                                                   minlength=field.size))
+        ss = int(mask(q, field, levels[n - 2]).sum())
+        if variant == "x0":
+            assert tower.x0_count(q, n, field, supersingular=True) == ss
+        ext, rem = divmod(field.m, 2 * prime_power(q)[1])
+        report = count_points(q, n, variant, ext, ext)
+        assert rem == 0 and report.rows[0].count == count
+        if ext == 1:
+            assert report.supersingular_count == ss
+
+
+def _walk_levels(q, n, field, variant):
+    columns = xprime_columns if variant == "xprime" else x0_columns
+    return [columns(q, j, field) for j in range(2, n + 1)]
+
+
 # (q, p, m): GF(16), GF(2^10), GF(2^8), GF(81) and GF(25)
 BLOCK_CASES = [(2, 2, 4), (2, 2, 10), (4, 2, 8), (3, 3, 4), (5, 5, 2)]
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
 def test_block_counts_match_column_lengths(monkeypatch, chunk):
-    # the count path reads the walk's last level in blocks of parents;
     # with 5 entries a block, the blocks split the x' edge solve, the
-    # seeds, the key passes and the growth of the middle levels, which
-    # up to level 5 must still give the unpatched columns
+    # seeds, the key passes, the growth of the middle levels and every
+    # transfer step, which up to level 5 must still give the unpatched
+    # columns, and counts and weights that match them
     import numpy as np
-    from drintower import finite_field, tower
-    from drintower.counting import count_points
-    walks = {"xprime": (tower._xprime_walk, tower.xprime_supersingular_mask),
-             "x0": (tower._x0_walk, tower.x0_supersingular_mask)}
-    cases = [(q, make_field(p, m), variant, n)
-             for q, p, m in BLOCK_CASES for variant in walks
-             for n in (2, 3, 4, 5)]
-    reference = [walks[variant][0](q, n, field).columns()
-                 for q, field, variant, n in cases]
+    from drintower import finite_field
+    cases = [(q, make_field(p, m), variant)
+             for q, p, m in BLOCK_CASES for variant in ("xprime", "x0")]
+    reference = [_walk_levels(q, 5, field, variant)
+                 for q, field, variant in cases]
     if chunk is not None:
         monkeypatch.setattr(finite_field, "_CHUNK", chunk)
-    for (q, field, variant, n), cols in zip(cases, reference):
-        walk, supersingular = walks[variant]
-        level = walk(q, n, field)
-        count = ss = 0
-        for block in level.blocks():
-            count += len(block[0])
-            ss += int(supersingular(q, field, block).sum())
-        assert count == level.count() == len(cols[0]) > 0
-        assert ss == int(supersingular(q, field, cols).sum())
-        assert [c.tolist() for c in level.columns()] == \
-            [c.tolist() for c in cols]
-        skipped = None
+    for (q, field, variant), levels in zip(cases, reference):
+        assert all(len(cols[0]) > 0 for cols in levels)
+        assert [[c.tolist() for c in cols]
+                for cols in _walk_levels(q, 5, field, variant)] == \
+            [[c.tolist() for c in cols] for cols in levels]
+        _weights_match_columns(q, field, variant, levels)
         if variant == "x0":
             # a row ending in Z = 0 has right side 0 and loses one branch
             # to -1; its one child, 0 again, keeps it in every later column
-            skipped = 1 + sum(int(np.count_nonzero(c == 0))
-                              for c in cols[:-1])
-            assert degenerate_z_skips(q, n, field) == skipped
-        ext, rem = divmod(field.m, 2 * prime_power(q)[1])
-        report = count_points(q, n, variant, ext, ext)
-        assert rem == 0 and report.rows[0].count == len(cols[0])
-        assert report.degenerate_z_skipped == skipped
-        if ext == 1:
-            assert report.supersingular_count == ss
+            for n, cols in enumerate(levels, 2):
+                skipped = 1 + sum(int(np.count_nonzero(c == 0))
+                                  for c in cols[:-1])
+                assert degenerate_z_skips(q, n, field) == skipped
+
+
+def _golden_count_configs():
+    from test_golden import GOLDEN
+    for argv, _ in GOLDEN:
+        if argv[0] == "count":
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            yield pytest.param(flags, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("flags", _golden_count_configs())
+def test_weights_match_columns_on_golden_count_configs(flags):
+    from drintower.counting import FieldContext
+    from drintower.cli import _parse_ext, _parse_modulus
+    q, n = int(flags["--q"]), int(flags["--n"])
+    variant = flags.get("--variant", "xprime")
+    ctx = FieldContext(moduli=dict(
+        [_parse_modulus(flags["--modulus"])] if "--modulus" in flags
+        else []))
+    m_first, m_last = _parse_ext(flags["--ext"])
+    for m in range(m_first, m_last + 1):
+        field = ctx.extension_of_k1(q, m)
+        _weights_match_columns(q, field, variant,
+                               _walk_levels(q, n, field, variant))
+
+
+# the largest extension m with |GF(q^(2m))| <= 2^16, per q
+DRAWN_FIELDS = {2: 8, 3: 5, 4: 4, 5: 3, 7: 2, 8: 2, 9: 2, 11: 2, 13: 2,
+                16: 2}
+
+
+def test_weights_match_columns_on_drawn_cases():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        st.sampled_from(sorted(DRAWN_FIELDS)).flatmap(
+            lambda q: st.tuples(st.just(q), st.integers(2, 5),
+                                st.integers(1, DRAWN_FIELDS[q]))),
+        st.sampled_from(["xprime", "x0"]))
+    def check(case, variant):
+        q, n, m = case
+        p, r = prime_power(q)
+        field = make_field(p, 2 * r * m)
+        _weights_match_columns(q, field, variant,
+                               _walk_levels(q, n, field, variant))
+
+    check()
 
 
 def test_degenerate_z_skips_is_closed_form_without_field_work(monkeypatch):
