@@ -30,7 +30,8 @@ and one block of text, never the whole listing.
 
 count takes its counts and tallies from the transfer weights of
 counting.count_points, keeping no row; verify checks the level-3
-columns through the row masks the walks raise on, and the pair
+columns of both walks through the row masks the walks raise on,
+recording a failing row instead of raising, and the pair
 identities through ids of the twisted-polynomial compositions at each
 element of GF(q^2)*.  The one point object a command builds is verify's
 sample for the act(c*d) = act(c).act(d) check, with its images under act.
@@ -57,6 +58,7 @@ from .finite_field import CapExceededError, DEFAULT_CAP, _chunks, \
     make_field, prime_power
 from .tower import (
     TowerPoint,
+    _x0_walk,
     cofactor_poly,
     kernel_line_poly,
     quotient_torsion_poly,
@@ -64,7 +66,6 @@ from .tower import (
     supersingular_z_values,
     torsion_poly,
     x0_columns,
-    x0_count,
     x0_recursion_mask,
     x0_supersingular_mask,
     xprime_columns,
@@ -385,8 +386,12 @@ def _suite_z_recursion(q, cols, k1):
     cases, failures = _pair_failures(k1, cols, [
         x0_recursion_mask(q, k1, zcols[j:j + 2])
         for j in range(len(zcols) - 1)])
-    # and a case per level-3 quotient point, counted by transfer weights
-    return cases + x0_count(q, 3, k1), failures
+    # and a case per level-3 quotient point, walked without the raising
+    # check so that a bad row is recorded
+    quotient = _x0_walk(q, 3, k1)
+    more, bad = _pair_failures(k1, quotient,
+                               [x0_recursion_mask(q, k1, quotient)])
+    return cases + more, failures + bad
 
 
 def _suite_z_set(q, k1):

@@ -30,22 +30,25 @@ the tuple) leaves the coordinates Z_j = (x_{j-1} x_j)^(q-1), which obey
 
 and generate the quotient tower; enumerate_x0 walks that recursion
 directly.  The children of a row depend only on its last coordinate, so
-enumeration lists each tower's one-step edges once, as arrays of integer
-encodings (see finite_field), and grows every level through one bucket
-index, keeping the rows in lexicographic order, so its order is fixed.
-_expand grows every level in blocks of parent rows, into columns
-allocated once at their known length; enumerate and verify read those
-columns.  A count builds no row: it carries one weight per field
-element from level to level by exact integer scatter-adds, the number
-of rows ending in x (x', over the solved edges) or whose last Z has a
-given right side (x0, whose edges s -> t are f(t) = g(s) for the two
-sides f and g of the recursion).  So x0_count and xprime_count hold two
-weight arrays beside the tables at every level, and x' its edges too.
+both walks share one shape, over arrays of integer encodings (see
+finite_field).  Each tower gives its level-2 columns (the solved edges
+of x', the allowed Z of x0), one bucket index, and a key function of a
+block of the last column (the coordinate itself for x', the right side
+of the recursion for x0).  _walk then runs _expand n - 2 times, each in
+blocks of parent rows into columns allocated once at their known
+length, keeping the rows in lexicographic order, and _checked applies
+the tower's row mask block by block.  A count builds no row: it carries
+one weight per field element from level to level by exact integer
+scatter-adds, the number of rows ending in x (x', over the solved
+edges) or whose last Z has a given right side (x0, whose edges s -> t
+are f(t) = g(s) for the two sides f and g of the recursion).  So
+x0_count and xprime_count hold two weight arrays beside the tables at
+every level, and x' its edges too.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Optional
 
 from .drinfeld import DrinfeldModule
 from .finite_field import (
@@ -338,22 +341,6 @@ class X0Point:
 # enumeration: whole-field array walks over integer encodings
 # ---------------------------------------------------------------------------
 
-def _read_only(cols: list) -> tuple:
-    for c in cols:
-        c.flags.writeable = False
-    return tuple(cols)
-
-
-def _blockwise(fn, x):
-    """fn(x), computed _CHUNK entries at a time into one int64 array, so
-    that fn's temporaries stay the size of a block."""
-    import numpy as np
-    out = np.empty(len(x), dtype=np.int64)
-    for rows in _chunks(len(x)):
-        out[rows] = fn(x[rows])
-    return out
-
-
 def _bucket_starts(sources, size: int):
     """The offsets of a bucket index (int32, size plus one): the running
     count of the edge sources below each encoding."""
@@ -363,25 +350,30 @@ def _bucket_starts(sources, size: int):
     return starts
 
 
-def _expand(cols: list, starts, members, keys) -> list:
+def _expand(cols: list, starts, members, key) -> list:
     """The rows of cols, each followed by every member of its key's bucket.
 
-    Bucket k is members[starts[k]:starts[k + 1]], where starts comes from
+    key maps a block of the last column to bucket keys.  Bucket k is
+    members[starts[k]:starts[k + 1]], where starts comes from
     _bucket_starts, so a lookup is two reads, with no search.  Rows given
     in lexicographic order come out in lexicographic order without a
     sort: each row's children follow it in row order, and every bucket
     lists its members in ascending order.  The columns are allocated once
     at the summed bucket widths and filled one _chunks block of rows at a
-    time, so every temporary is the size of a block.
+    time, so every temporary, the keys too, is the size of a block.
     """
     import numpy as np
-    total = sum(int((starts[keys[rows] + 1] - starts[keys[rows]]).sum())
-                for rows in _chunks(len(keys)))
+    last = cols[-1]
+    total = 0
+    for rows in _chunks(len(last)):
+        keys = key(last[rows])
+        total += int((starts[keys + 1] - starts[keys]).sum())
     out = [np.empty(total, dtype=np.int64) for _ in range(len(cols) + 1)]
     end = 0
-    for rows in _chunks(len(keys)):
-        lo = starts[keys[rows]]
-        width = starts[keys[rows] + 1] - lo
+    for rows in _chunks(len(last)):
+        keys = key(last[rows])
+        lo = starts[keys]
+        width = starts[keys + 1] - lo
         start, end = end, end + int(width.sum())
         parent = np.repeat(np.arange(rows.start, rows.stop), width)
         # a row's children start at block position cumsum(width) - width
@@ -393,32 +385,27 @@ def _expand(cols: list, starts, members, keys) -> list:
     return out
 
 
-class _LastLevel(NamedTuple):
-    """A walk stopped one step short of level n: the level-(n-1) rows, the
-    bucket index that grows them, and the check every level-n row must
-    pass.
+def _walk(n: int, cols: list, index, key) -> list:
+    """The level-n rows grown from the level-2 columns by n - 2 _expand
+    steps: index() builds the bucket index (starts, members), only when
+    a step needs it, and key maps a block of the last column to bucket
+    keys."""
+    if n > 2:
+        starts, members = index()
+        for _ in range(n - 2):
+            cols = _expand(cols, starts, members, key)
+    return cols
 
-    Row j of parents gets the bucket of keys[j] (see _expand); with
-    starts None, parents are the level-n rows themselves.  columns()
-    grows the last level by _expand like every other.
-    """
 
-    parents: list
-    starts: Any
-    members: Any
-    keys: Any
-    check: Callable
-
-    def columns(self) -> tuple:
-        """The level-n rows as read-only columns, one int64 array of
-        integer encodings per coordinate, grown by one _expand and
-        checked one _chunks block of rows at a time."""
-        cols = self.parents
-        if self.starts is not None:
-            cols = _expand(cols, self.starts, self.members, self.keys)
-        for rows in _chunks(len(cols[0])):
-            self.check([c[rows] for c in cols])
-        return _read_only(cols)
+def _checked(cols: list, mask, failure: str) -> tuple:
+    """The columns, read-only, once mask(block) accepts every row of each
+    _chunks block of rows; else RuntimeError(failure)."""
+    for rows in _chunks(len(cols[0])):
+        if not mask([c[rows] for c in cols]).all():
+            raise RuntimeError(failure)
+    for c in cols:
+        c.flags.writeable = False
+    return tuple(cols)
 
 
 def xprime_relation_mask(q: int, field: FieldSpec, cols):
@@ -440,11 +427,10 @@ def _xprime_edge_blocks(q: int, field: FieldSpec):
     z -> z^q + z is GF(p)-linear, so the solutions are one matrix
     product plus the q kernel elements, and none is 0 as x is not.
     Yields (x, t): the solvable x of the block in ascending order, and
-    the (len(x), q) matrix of their targets, each row unsorted.
+    the (len(x), q) matrix of their targets, each row unsorted.  The
+    caller checks the field and builds its tables.
     """
     import numpy as np
-    _check_coordinate_field(q, field)
-    field.tables()  # before anything of field size is allocated
     solver = _solver_for(_trace_map(q, field), field)
     kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
     for rows in _chunks(field.size - 1):
@@ -458,42 +444,49 @@ def _xprime_edge_blocks(q: int, field: FieldSpec):
         yield x, t.reshape(-1, len(kernel))
 
 
-def _xprime_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
-    """The x-coordinate walk, stopped before its last level.
+def _xprime_edges(q: int, field: FieldSpec) -> tuple:
+    """The level-2 rows as (source, target) columns in (source, target)
+    order: the sources of _xprime_edge_blocks ascend, and each source's
+    targets are sorted.
 
-    The sources of _xprime_edge_blocks ascend, so sorting each source's
-    targets puts the edges in (source, target) order; they are the
-    level-2 rows, and _expand grows each later level from them, keyed
-    by the last coordinate.
+    The columns are allocated once, at the Hermitian count
+    q^(2m) - q - q(q-1)(-q)^m of edges over GF(q^(2m)), and filled block
+    by block; blocks that overrun that count or end short of it raise.
     """
     import numpy as np
-    if n < 2:
-        raise ValueError("the tower starts at level 2")
-    sources, targets = [], []
+    _check_coordinate_field(q, field)
+    field.tables()  # before anything of field size is allocated
+    m = field.m // (2 * prime_power(q)[1])
+    total = field.size - q - q * (q - 1) * (-q) ** m
+    source = np.empty(total, dtype=np.int64)
+    target = np.empty(total, dtype=np.int64)
+    end = 0
     for x, t in _xprime_edge_blocks(q, field):
-        sources.append(np.repeat(x, t.shape[1]))
-        targets.append(np.sort(t, axis=1).ravel())
-    source, target = np.concatenate(sources), np.concatenate(targets)
-    del sources, targets
-    cols = [source, target]
-
-    def check(rows):
-        if not xprime_relation_mask(q, field, rows).all():
-            raise RuntimeError(
-                "an enumerated point fails the tower relation")
-
-    if n == 2:
-        return _LastLevel(cols, None, None, None, check)
-    starts = _bucket_starts(source, field.size)
-    for _ in range(n - 3):
-        cols = _expand(cols, starts, target, cols[-1])
-    return _LastLevel(cols, starts, target, cols[-1], check)
+        start, end = end, end + t.size
+        if end > total:
+            raise RuntimeError(f"the level-2 edges pass their count {total}")
+        source[start:end] = np.repeat(x, t.shape[1])
+        target[start:end] = np.sort(t, axis=1).ravel()
+    if end != total:
+        raise RuntimeError(f"the level-2 edges number {end}, not {total}")
+    return source, target
 
 
 def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
     """The points of enumerate_xprime as read-only coordinate columns:
-    one int64 array of integer encodings per coordinate."""
-    return _xprime_walk(q, n, field).columns()
+    one int64 array of integer encodings per coordinate.
+
+    The edges are the level-2 rows, and their sources index the buckets
+    of every later level, keyed by the last coordinate itself.
+    """
+    if n < 2:
+        raise ValueError("the tower starts at level 2")
+    source, target = _xprime_edges(q, field)
+    cols = _walk(n, [source, target],
+                 lambda: (_bucket_starts(source, field.size), target),
+                 lambda x: x)
+    return _checked(cols, lambda rows: xprime_relation_mask(q, field, rows),
+                    "an enumerated point fails the tower relation")
 
 
 def project_columns_to_x0(q: int, field: FieldSpec, cols) -> tuple:
@@ -547,8 +540,8 @@ def _z_backward(q: int, field: FieldSpec, z):
     return field.power_product((z, q), (_one_plus(field, z), 1 - q))
 
 
-def _x0_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
-    """The quotient walk, stopped before its last level.
+def _x0_walk(q: int, n: int, field: FieldSpec) -> list:
+    """The quotient walk, unchecked.
 
     Z_2 ranges over the field minus -1.  Each later coordinate solves
     Z_{j+1} (1+Z_{j+1})^(q-1) = rhs(Z_j): the allowed values are grouped
@@ -564,24 +557,14 @@ def _x0_walk(q: int, n: int, field: FieldSpec) -> _LastLevel:
     minus_one = field.p - 1  # encoding of the prime-field constant -1
     allowed = np.delete(np.arange(field.size, dtype=np.int64), minus_one)
 
-    def check(rows):
-        if not x0_recursion_mask(q, field, rows).all():
-            raise RuntimeError(
-                "an enumerated point fails the quotient recursion")
+    def index():
+        keys = np.empty(len(allowed), dtype=np.int64)
+        for rows in _chunks(len(allowed)):
+            keys[rows] = _z_forward(q, field, allowed[rows])
+        return (_bucket_starts(keys, field.size),
+                allowed[np.argsort(keys, kind="stable")])
 
-    def right_sides(z):
-        return _blockwise(lambda block: _z_backward(q, field, block), z)
-
-    if n == 2:
-        return _LastLevel([allowed], None, None, None, check)
-    keys = _blockwise(lambda block: _z_forward(q, field, block), allowed)
-    members = allowed[np.argsort(keys, kind="stable")]
-    starts = _bucket_starts(keys, field.size)
-    del keys
-    cols = [allowed]
-    for _ in range(n - 3):
-        cols = _expand(cols, starts, members, right_sides(cols[-1]))
-    return _LastLevel(cols, starts, members, right_sides(cols[-1]), check)
+    return _walk(n, [allowed], index, lambda z: _z_backward(q, field, z))
 
 
 def x0_recursion_mask(q: int, field: FieldSpec, cols):
@@ -599,7 +582,9 @@ def x0_recursion_mask(q: int, field: FieldSpec, cols):
 def x0_columns(q: int, n: int, field: FieldSpec) -> tuple:
     """The points of enumerate_x0 as read-only coordinate columns: one
     int64 array of integer encodings per coordinate."""
-    return _x0_walk(q, n, field).columns()
+    return _checked(_x0_walk(q, n, field),
+                    lambda rows: x0_recursion_mask(q, field, rows),
+                    "an enumerated point fails the quotient recursion")
 
 
 def x0_supersingular_mask(q: int, field: FieldSpec, cols):
@@ -742,6 +727,7 @@ def xprime_count(q: int, n: int, field: FieldSpec) -> int:
         raise ValueError("the tower starts at level 2")
     _check_coordinate_field(q, field)
     dtype = _weight_dtype(q, n, field)
+    field.tables()  # before anything of field size is allocated
     edges, total = [], 0
     for x, t in _xprime_edge_blocks(q, field):
         pairs = np.column_stack((np.repeat(x, t.shape[1]), t.ravel()))

@@ -294,6 +294,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_verify_records_a_bad_quotient_row(capsys, monkeypatch):
+    # one wrong bucket member in the level-3 quotient walk over GF(q^2)
+    # is a failed z_recursion record with the same case count, not an
+    # exception; every other record is unchanged
+    from test_tower import _corrupt_bucket_member
+    _, out, _ = _run(capsys, "verify", "--q", "2")
+    expected = json.loads(out)["checks"]
+    _corrupt_bucket_member(monkeypatch, 2, make_field(2, 2), "x0")
+    code, out, err = _run(capsys, "verify", "--q", "2")
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    z_got, z_expected = (
+        next(rec for rec in records if rec["identity"] == "z_recursion")
+        for records in (checks, expected))
+    assert z_got["cases"] == z_expected["cases"]
+    assert not z_got["passed"] and z_got["failures"]
+    assert all(len(f["point"]) == 2 for f in z_got["failures"])
+    assert [rec for rec in checks if rec is not z_got] == \
+        [rec for rec in expected if rec is not z_expected]
+
+
 def test_cap_exit_code(capsys):
     code, _, err = _run(capsys, "count", "--q", "2", "--n", "2",
                         "--ext", "13")

@@ -13,6 +13,7 @@ from drintower.counting import (
 )
 from drintower.finite_field import make_field, prime_power
 from drintower.tower import enumerate_xprime
+from test_tower import DRAWN_FIELDS, _golden_count_configs
 
 
 def hermitian_affine_count_bruteforce(q: int, m: int = 1) -> int:
@@ -312,3 +313,77 @@ def test_hermitian_count_in_blocks_matches_closed_form(q, m, monkeypatch):
     monkeypatch.setattr(finite_field, "_CHUNK", 1000)
     assert hermitian_affine_count(q, m) == \
         q ** (2 * m) - q * (q - 1) * (-q) ** m
+
+
+def _mobius(k: int) -> int:
+    out, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if k > 1 else out
+
+
+def _place_degrees_are_whole(counts) -> bool:
+    """Whether P_d = (1/d) sum_{e | d} mu(d/e) N_e is a nonnegative
+    integer for every d, where counts[m - 1] = N_m over GF(q^(2m)).
+
+    The affine chart of either tower is stable under the Frobenius of
+    GF(q^2), so N_m = sum_{d | m} d P_d, with P_d the number of its
+    orbits of exact size d, the places of degree d.  A count off by one
+    at some d >= 2 moves P_d by 1/d.
+    """
+    degrees = [Fraction(sum(_mobius(d // e) * counts[e - 1]
+                            for e in range(1, d + 1) if d % e == 0), d)
+               for d in range(1, len(counts) + 1)]
+    return all(p.denominator == 1 and p >= 0 for p in degrees)
+
+
+def _counts_up_to(q, n, variant, m_last, ctx=None):
+    report = count_points(q, n, variant, 1, m_last, ctx)
+    return [row.count for row in report.rows]
+
+
+@pytest.mark.parametrize("flags", _golden_count_configs())
+def test_place_degrees_are_whole_on_golden_count_ranges(flags):
+    from drintower.cli import _parse_ext, _parse_modulus
+    ctx = FieldContext(moduli=dict(
+        [_parse_modulus(flags["--modulus"])] if "--modulus" in flags
+        else []))
+    counts = _counts_up_to(int(flags["--q"]), int(flags["--n"]),
+                           flags.get("--variant", "xprime"),
+                           _parse_ext(flags["--ext"])[1], ctx)
+    assert _place_degrees_are_whole(counts), counts
+
+
+def test_place_degrees_are_whole_on_drawn_ranges():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        st.sampled_from(sorted(DRAWN_FIELDS)).flatmap(
+            lambda q: st.tuples(st.just(q), st.integers(2, 5),
+                                st.integers(1, DRAWN_FIELDS[q]))),
+        st.sampled_from(["xprime", "x0"]))
+    def check(case, variant):
+        q, n, m_last = case
+        counts = _counts_up_to(q, n, variant, m_last)
+        assert _place_degrees_are_whole(counts), (case, variant, counts)
+
+    check()
+
+
+def test_place_degrees_catch_a_count_off_by_one():
+    # every N_d with d >= 2, moved by +1 or -1, leaves P_d fractional
+    counts = _counts_up_to(2, 4, "x0", 7)
+    assert _place_degrees_are_whole(counts)
+    for d in range(2, len(counts) + 1):
+        for delta in (-1, 1):
+            moved = list(counts)
+            moved[d - 1] += delta
+            assert not _place_degrees_are_whole(moved), (d, delta)

@@ -546,18 +546,19 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
         ~tower.x0_recursion_mask(2, gf16, zcols)).tolist() == [0]
     # the walk's check has no scan of its own for -1: a bucket member at
     # -1 (the row (0, -1) here) fails the recursion mask
-    level = tower._x0_walk(2, 3, gf16)
-    members = level.members.copy()
-    members[level.starts[level.keys[0]]] = 1
-    with pytest.raises(RuntimeError, match="fails the quotient recursion"):
-        level._replace(members=members).columns()
+    with monkeypatch.context() as patched:
+        _corrupt_bucket_member(patched, 2, gf16, "x0", value=1)
+        with pytest.raises(RuntimeError,
+                           match="fails the quotient recursion"):
+            x0_columns(2, 3, gf16)
 
     # one wrong bucket member fails the columns
-    for variant in ("xprime", "x0"):
-        walk = getattr(tower, f"_{variant}_walk")
-        with pytest.raises(RuntimeError, match="enumerated point fails"):
-            _corrupt_bucket_member(2, gf16, walk(2, 3, gf16),
-                                   variant).columns()
+    for variant, columns in (("xprime", xprime_columns),
+                             ("x0", x0_columns)):
+        with monkeypatch.context() as patched:
+            _corrupt_bucket_member(patched, 2, gf16, variant)
+            with pytest.raises(RuntimeError, match="enumerated point fails"):
+                columns(2, 3, gf16)
 
     # the count reads no bucket: it fails on a key outside the field,
     # over GF(q^2), where it takes the tallies, and over an extension,
@@ -584,26 +585,72 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
             count_points(2, 12, variant, 1, 1)
 
 
-def _corrupt_bucket_member(q, field, level, variant):
-    """The walk with one member of the bucket of parent row j replaced by
-    a value that breaks the row's relation, for the first row j whose
-    bucket is not empty (and, for x', whose last coordinate is not 1)."""
+def _corrupt_bucket_member(monkeypatch, q, field, variant, value=None):
+    """Patch tower._expand so that the variant's step from level 2 to 3
+    (x0 grows from one column, x' from two) sees one bucket member
+    replaced by a value that breaks its row's relation, or by value: the
+    first member of the bucket of the first parent row whose bucket is
+    not empty (and, for x', whose last coordinate is not 1)."""
     import numpy as np
     from drintower import tower
-    starts, keys = level.starts, level.keys
-    width = starts[keys + 1] - starts[keys]
-    usable = width > 0
-    if variant == "xprime":
-        usable &= keys != 1  # x -> x + 1 moves z = a*x by a
-    i = starts[keys[np.flatnonzero(usable)[0]]]
-    members = level.members.copy()
-    if variant == "xprime":
-        members[i] ^= 1
-    else:
-        forward = tower._z_forward(q, field, np.arange(field.size))
-        members[i] = next(v for v in range(field.size) if v != field.p - 1
-                          and forward[v] != forward[members[i]])
-    return level._replace(members=members)
+    real = tower._expand
+
+    def expand(cols, starts, members, key):
+        if (len(cols) == 1) == (variant == "x0"):
+            keys = key(cols[-1])
+            usable = starts[keys + 1] > starts[keys]
+            if variant == "xprime":
+                usable &= keys != 1  # x -> x + 1 moves z = a*x by a
+            i = starts[keys[np.flatnonzero(usable)[0]]]
+            members = members.copy()
+            if value is not None:
+                members[i] = value
+            elif variant == "xprime":
+                members[i] ^= 1
+            else:
+                forward = tower._z_forward(q, field, np.arange(field.size))
+                members[i] = next(
+                    v for v in range(field.size) if v != field.p - 1
+                    and forward[v] != forward[members[i]])
+        return real(cols, starts, members, key)
+
+    monkeypatch.setattr(tower, "_expand", expand)
+
+
+def test_xprime_level_two_edges_are_written_once():
+    # the edge columns are allocated at their count and filled block by
+    # block, not concatenated from block lists, so the traced peak of a
+    # level-2 walk stays near the bytes of its two output columns
+    import tracemalloc
+    field = make_field(2, 18)
+    field.tables()  # the tables are not part of the walk
+    tracemalloc.start()
+    try:
+        cols = xprime_columns(2, 2, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sum(c.nbytes for c in cols)
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_xprime_edges_off_their_count_raise(monkeypatch, change):
+    # the Hermitian edge count is checked, not trusted: a dropped edge
+    # block ends short of it, a repeated one overruns it
+    from drintower import finite_field, tower
+    monkeypatch.setattr(finite_field, "_CHUNK", 16)
+    real = tower._xprime_edge_blocks
+
+    def blocks(q, field):
+        out = list(real(q, field))
+        i = next(i for i, (x, t) in enumerate(out) if t.size)
+        return iter(out[:i] + out[i + 1:] if change == "drop"
+                    else out[:i + 1] + out[i:])
+
+    monkeypatch.setattr(tower, "_xprime_edge_blocks", blocks)
+    for n in (2, 3):
+        with pytest.raises(RuntimeError, match="level-2 edges"):
+            xprime_columns(2, n, make_field(2, 8))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
