@@ -1,16 +1,18 @@
 """Batch command-line interface.
 
-Four subcommands: verify (exhaustive identity suites), enumerate (point
+Four commands: verify (exhaustive identity suites), enumerate (point
 listings), count (per-extension tallies), zeta (residual report for the
-quadratic level).  Configuration precedence is flags over config file
-over defaults; the config file is a flat key = value text file whose
-keys mirror the long flag names.
+quadratic level).  One parser takes the command and every flag, in any
+order.  Configuration precedence is flags over config file over
+defaults; the config file is a flat key = value text file whose keys
+mirror the long flag names.
 
 Exit codes: 0 success, 1 verification failure (a failed identity in
 verify, a nonzero exact residual in zeta; the report is written either
-way) or output that cannot be written, 2 usage error, 3 field-size cap
-exceeded, or a count that could pass 2^63 - 1.  Identical
-configuration produces byte-identical output.
+way), output that cannot be written, or a failed internal check (one
+error line, no traceback), 2 usage error, 3 field-size cap exceeded,
+or a count that could pass 2^63 - 1.  Identical configuration produces
+byte-identical output.
 --workers is accepted for compatibility and ignored: the whole-field
 walks run as array code in one thread.  main sets OPENBLAS_NUM_THREADS=1 for its own process,
 overriding an inherited value, before numpy is first imported: numpy
@@ -193,17 +195,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     layers = []
     if args.config:
         layers.append(_read_config_file(args.config))
-    flags = {}
-    for key in ("q", "n", "variant", "ext", "format", "genus", "cap",
-                "workers"):
-        v = getattr(args, key, None)
-        if v is not None:
-            flags[key] = v
-    if getattr(args, "supersingular_only", False):
-        flags["supersingular_only"] = True
-    if getattr(args, "modulus", None):
-        flags["modulus"] = list(args.modulus)
-    layers.append(flags)
+    # every flag given; "is not", as 0 == False
+    layers.append({key: value for key, value in vars(args).items()
+                   if key not in ("command", "config")
+                   and value is not None and value is not False})
 
     for layer in layers:
         for key, value in layer.items():
@@ -452,7 +447,7 @@ def identity_suite(q: int, ctx: FieldContext) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -542,30 +537,6 @@ _COMMANDS = {
 }
 
 
-def _add_common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--q", type=int, default=None,
-                     help="base field size, a prime power")
-    sub.add_argument("--n", type=int, default=None, help="tower level")
-    sub.add_argument("--variant", choices=("xprime", "x0"), default=None,
-                     help="x-coordinate tower or its Z-coordinate quotient")
-    sub.add_argument("--ext", default=None,
-                     help="extension index m or range m1..m2 over GF(q^2)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
-    sub.add_argument("--genus", type=int, default=None,
-                     help="externally supplied genus (zeta)")
-    sub.add_argument("--supersingular-only", action="store_true",
-                     dest="supersingular_only")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="accepted and ignored (must be at least 1)")
-    sub.add_argument("--cap", type=int, default=None,
-                     help="field size cap")
-    sub.add_argument("--modulus", action="append", default=None,
-                     metavar="p^m/c0,c1,...",
-                     help="explicit field modulus (repeatable)")
-    sub.add_argument("--config", default=None,
-                     help="flat key = value config file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drintower",
@@ -574,15 +545,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "consistency.")
     parser.add_argument("--version", action="version",
                         version=f"drintower {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "run the exhaustive identity suites for one q"),
-        ("enumerate", "list tower points over one extension field"),
-        ("count", "count points over a range of extensions"),
-        ("zeta", "zeta consistency residuals for the quadratic level"),
-    ):
-        sub = subs.add_parser(name, help=help_text)
-        _add_common_flags(sub)
+    parser.add_argument(
+        "command", choices=tuple(_COMMANDS),
+        help="verify: run the exhaustive identity suites for one q; "
+             "enumerate: list tower points over one extension field; "
+             "count: count points over a range of extensions; "
+             "zeta: zeta consistency residuals for the quadratic level")
+    parser.add_argument("--q", type=int,
+                        help="base field size, a prime power")
+    parser.add_argument("--n", type=int, help="tower level")
+    parser.add_argument("--variant", choices=("xprime", "x0"),
+                        help="x-coordinate tower or its Z-coordinate "
+                             "quotient")
+    parser.add_argument("--ext", help="extension index m or range m1..m2 "
+                                      "over GF(q^2)")
+    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--genus", type=int,
+                        help="externally supplied genus (zeta)")
+    parser.add_argument("--supersingular-only", action="store_true")
+    parser.add_argument("--workers", type=int,
+                        help="accepted and ignored (must be at least 1)")
+    parser.add_argument("--cap", type=int, help="field size cap")
+    parser.add_argument("--modulus", action="append",
+                        metavar="p^m/c0,c1,...",
+                        help="explicit field modulus (repeatable)")
+    parser.add_argument("--config", help="flat key = value config file")
     return parser
 
 
@@ -602,6 +589,10 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (RuntimeError, ValueError) as exc:
+        # a failed internal check: a walk's relation or range check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1  # the exit code of the traceback this replaces
     except OSError as exc:
         # only a write can fail here: _build_config reports a config file
         # it cannot read as a usage error

@@ -163,16 +163,7 @@ def _p_power_x(k: int, f: Sequence[int], p: int) -> list:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return _prime_divisors(n) == [n]
 
 
 def _prime_divisors(n: int) -> list:
@@ -668,14 +659,10 @@ class FieldSpec:
                              for cs in high]))
 
     def serialize_ints(self, vals) -> list:
-        """FieldElement.serialize of each encoding in vals, without
-        building elements: the rows of text_tables as strings."""
-        vals = self.check_ints(vals)
-        base, low, high = self.text_tables()
-        low, high = ([row.tobytes().rstrip(b"\0").decode() for row in t]
-                     for t in (low, high))
-        return [low[a] + high[b] for a, b in
-                zip((vals % base).tolist(), (vals // base).tolist())]
+        """FieldElement.serialize of each encoding in vals; raises
+        ValueError as check_ints does."""
+        return [FieldElement(self, n).serialize()
+                for n in self.check_ints(vals).tolist()]
 
     # -- GF(p)-linear structure ----------------------------------------------
 

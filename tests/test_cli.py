@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -391,6 +392,65 @@ def test_config_file_and_precedence(tmp_path, capsys):
     assert payload["meta"]["count"] == 6
 
 
+# one value per flag; --workers 0 and --genus 0 check that a zero flag
+# is not dropped as if it were absent
+_FLAG_VALUES = [("q", "3"), ("n", "3"), ("variant", "x0"), ("ext", "2..3"),
+                ("format", "csv"), ("genus", "0"), ("genus", "2"),
+                ("supersingular-only", None), ("workers", "0"),
+                ("workers", "2"), ("cap", "100000"),
+                ("modulus", "2^2/1,1,1"), ("modulus", "3^2/2,2,1")]
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate", "count", "zeta"])
+@pytest.mark.parametrize("flag,value", _FLAG_VALUES)
+def test_flag_and_config_key_give_one_config(flag, value, command,
+                                             tmp_path):
+    from drintower.cli import UsageError, _build_config, build_parser
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {'true' if value is None else value}\n")
+    argvs = ([command, f"--{flag}"] + ([] if value is None else [value]),
+             [command, "--config", str(cfg)])
+    results = []
+    for argv in argvs:
+        try:
+            results.append(_build_config(build_parser().parse_args(argv)))
+        except UsageError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    # equal RunConfigs, or the one validation message, for workers 0
+    assert isinstance(results[0], str) == ((flag, value) == ("workers", "0"))
+
+
+_ALL_COMMANDS = [
+    ("verify", "--q", "2"),
+    ("enumerate", "--q", "2", "--n", "3", "--ext", "2", "--format", "csv"),
+    ("count", "--q", "2", "--n", "3", "--variant", "x0", "--ext", "1..2"),
+    ("zeta", "--q", "2", "--n", "2", "--genus", "1", "--ext", "1..2"),
+]
+
+
+@pytest.mark.parametrize("argv", _ALL_COMMANDS, ids=lambda a: a[0])
+def test_flags_before_the_command_give_the_same_output(argv, capsys):
+    after = _run(capsys, *argv)
+    before = _run(capsys, *argv[1:], argv[0])
+    assert after[0] == 0 and after[1]
+    assert before == after
+
+
+def test_help_names_each_command_and_flag_once(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for command, *_ in _ALL_COMMANDS:
+        assert f"{command}:" in text
+    # the options section, past the usage line that names them too
+    options = text[text.index("\noptions:"):]
+    flags = {f for f, _ in _FLAG_VALUES} | {"config", "version"}
+    for flag in flags:
+        assert len(re.findall(f"--{flag}(?![\\w-])", options)) == 1, flag
+
+
 def test_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("q: 3\n")
@@ -531,6 +591,41 @@ def test_full_device_is_one_error_line(command):
     assert "No space left" in proc.stderr
 
 
+# the variant each probe walks, and how it breaks the walk: the count
+# reads no bucket, so its probe moves one transfer key of the level-3
+# quotient count off the field instead
+_CORRUPT = {
+    "enumerate": ("xprime", "_corrupt_bucket_member(pytest.MonkeyPatch(), "
+                            "2, make_field(2, 4), 'xprime')"),
+    "count": ("x0", "backward = tower._z_backward\n"
+                    "def shifted(q, field, z):\n"
+                    "    keys = backward(q, field, z)\n"
+                    "    keys[:1] += field.size\n"
+                    "    return keys\n"
+                    "tower._z_backward = shifted"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CORRUPT))
+def test_failed_internal_check_is_one_error_line(command):
+    # a walk that fails its own check exits 1 with one error line and
+    # nothing on stdout, as a process
+    variant, corrupt = _CORRUPT[command]
+    probe = ("import sys, pytest\n"
+             "from test_tower import _corrupt_bucket_member\n"
+             "from drintower import cli, tower\n"
+             "from drintower.finite_field import make_field\n"
+             f"{corrupt}\n"
+             f"sys.exit(cli.main(['{command}', '--q', '2', '--n', '3', "
+             f"'--variant', '{variant}', '--ext', '2']))")
+    env = dict(ENV, PYTHONPATH=os.pathsep.join(
+        (ENV["PYTHONPATH"], str(Path(__file__).resolve().parent))))
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env)
+    _assert_one_error_line(proc.returncode, proc.stderr)
+    assert proc.stdout == ""
+
+
 def test_emit_json_matches_json_dumps():
     import random
     from drintower.cli import _emit_json
@@ -587,15 +682,14 @@ def test_enumerate_writes_nothing_when_a_check_fails(capsys, monkeypatch):
     def refuse(*args):
         raise RuntimeError("mask refused")
 
+    # a failed check is one error line and exit 1, with empty stdout
     argv = ["enumerate", "--q", "2", "--n", "2", "--ext", "2"]
     with monkeypatch.context() as patched:
         patched.setattr(cli, "xprime_supersingular_mask", refuse)
-        with pytest.raises(RuntimeError, match="mask refused"):
-            main(argv + ["--supersingular-only"])
-    assert capsys.readouterr().out == ""
+        code, out, err = _run(capsys, *argv, "--supersingular-only")
+    assert (code, out, err) == (1, "", "error: mask refused\n")
     size = make_field(2, 4).size
     monkeypatch.setattr(cli, "xprime_columns", lambda q, n, field: (
         np.array([1, 2]), np.array([3, size])))
-    with pytest.raises(ValueError, match="out of range"):
-        main(argv)
-    assert capsys.readouterr().out == ""
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: encoding out of range\n")
