@@ -30,12 +30,13 @@ from typing import Optional
 from .finite_field import (
     DEFAULT_CAP,
     FieldSpec,
-    _chunks,
     make_field,
     prime_power,
 )
-from .linearized import LinearizedPoly, _solver_for
+from .linearized import _solver_for
 from .tower import (
+    _solvable_blocks,
+    _trace_map,
     _weight_dtype,
     degenerate_z_skips,
     x0_count,
@@ -179,21 +180,13 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
 def hermitian_affine_count(q: int, m: int = 1,
                            ctx: Optional[FieldContext] = None) -> int:
     """Points of z^q + z = x^(q+1) over the size-q^(2m) field, zeros
-    included, counted by a linear solvability test on one _chunks block
-    of x values at a time."""
-    import numpy as np
+    included: q for x = 0 and for each x of tower._solvable_blocks, as
+    each solvable fiber is a coset of the q-element kernel of z^q + z."""
     ctx = ctx or FieldContext()
     L = ctx.extension_of_k1(q, m)
     L.tables()  # before anything of field size is allocated
-    trace = LinearizedPoly.from_ints(q, L, [1, 1])
-    solver = _solver_for(trace, L)
-    fiber = q  # solvable fibers are cosets of the kernel, which is full here
-    solvable = 0
-    for rows in _chunks(L.size):
-        x = np.arange(rows.start, rows.stop, dtype=np.int64)
-        solvable += int(np.count_nonzero(
-            solver.consistent_ints(L.power_product((x, q + 1)))))
-    return fiber * solvable
+    solver = _solver_for(_trace_map(q, L), L)
+    return q * (1 + sum(len(x) for x, _ in _solvable_blocks(q, L, solver)))
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,10 @@ GF(p)[x] modulo the modulus (_pmul, _pmod, _ppowmod), the polynomial
 arithmetic that the Rabin test and the Euclid inverse use too.  It
 stays the reference the table path is tested against (results are
 bit-identical).  The matrices of multiplication and of the Frobenius
-powers come from one column builder on the same products, so building
-a solver never builds tables by itself.
+powers come from one column builder on the same products, and an
+evaluation matrix (linearized) from those products on Frobenius
+columns, with no matrix product, so building a solver never builds
+tables by itself.
 
 The array helpers below work on numpy arrays of integer encodings:
 multiplicative monomials through the tables, addition digit by digit
@@ -904,23 +906,6 @@ def trace_to_subfield(a: FieldElement, sub: FieldSpec) -> FieldElement:
 # ---------------------------------------------------------------------------
 # linear algebra over GF(p)
 # ---------------------------------------------------------------------------
-
-def gfp_matmul(a: list, b: list, p: int) -> list:
-    n, k = len(a), len(b)
-    m = len(b[0])
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            s = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    s += x * y
-            orow.append(s % p)
-        out.append(orow)
-    return out
-
 
 class GFpSolver:
     """Repeated-right-hand-side solver for A x = b over GF(p)."""

@@ -32,7 +32,6 @@ from .finite_field import (
     FieldSpec,
     GFpSolver,
     embed,
-    gfp_matmul,
     make_field,
     prime_power,
     subfield_elements,
@@ -229,21 +228,20 @@ class LinearizedPoly:
             f"no common field for {self.spec!r} and {x.spec!r}")
 
     def evaluation_matrix(self, field: FieldSpec) -> list:
-        """Matrix of x -> self(x) as a GF(p)-linear map on field."""
-        u = self.map_to(field) if field != self.spec else self
+        """Matrix of x -> self(x) as a GF(p)-linear map on field: column j
+        holds self(x^j), the sum over i of c_i times column j of the
+        q^i-power Frobenius matrix, by schoolbook products."""
+        u = self.map_to(field)
         p, M = field.p, field.m
         r = prime_power(self.q)[1]
-        out = [[0] * M for _ in range(M)]
+        cols = [[0] * M for _ in range(M)]
         for i, c in enumerate(u.coeffs):
             if not c:
                 continue
-            term = gfp_matmul(field.multiplication_matrix(c),
-                              field.frobenius_matrix((r * i) % M), p)
-            for a in range(M):
-                row_o, row_t = out[a], term[a]
-                for b in range(M):
-                    row_o[b] = (row_o[b] + row_t[b]) % p
-        return out
+            for j, col in enumerate(zip(*field.frobenius_matrix(r * i))):
+                term = field._mul_generic(c.coeffs, col)
+                cols[j] = [(a + b) % p for a, b in zip(cols[j], term)]
+        return [list(row) for row in zip(*cols)]
 
 
 def _materialize_space(field: FieldSpec, solver: GFpSolver) -> set:

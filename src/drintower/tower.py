@@ -126,7 +126,44 @@ def _check_coordinate_field(q: int, field: FieldSpec) -> None:
             f"coordinate field {field!r} must contain GF({q}^2)")
 
 
-class TowerPoint:
+class _Point:
+    """A tuple of coordinates in one field, for a given q.  Points are
+    equal when their type, q and coordinates are; each subclass checks
+    its coordinates in __init__."""
+
+    __slots__ = ("q", "coords")
+
+    @classmethod
+    def _checked_elsewhere(cls, q: int, coords: tuple):
+        """A point whose coordinates the caller has already validated."""
+        pt = object.__new__(cls)
+        pt.q = q
+        pt.coords = coords
+        return pt
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.coords[0].spec
+
+    def ints(self) -> tuple:
+        return tuple(x.to_int() for x in self.coords)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.q, self.coords) == (other.q, other.coords)
+
+    def __hash__(self):
+        return hash((self.q, self.coords))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(q={self.q}, {self.serialize()})"
+
+    def serialize(self) -> list:
+        return [x.serialize() for x in self.coords]
+
+
+class TowerPoint(_Point):
     """Affine point (x_1, ..., x_n) of the level-n tower curve.
 
     All coordinates are nonzero elements of one field and consecutive
@@ -135,7 +172,7 @@ class TowerPoint:
     enumeration seed.
     """
 
-    __slots__ = ("q", "coords")
+    __slots__ = ()
 
     def __init__(self, q: int, coords: tuple):
         coords = tuple(coords)
@@ -156,38 +193,9 @@ class TowerPoint:
         self.q = q
         self.coords = coords
 
-    @classmethod
-    def _checked_elsewhere(cls, q: int, coords: tuple) -> "TowerPoint":
-        """A point whose coordinates the caller has already validated."""
-        pt = object.__new__(cls)
-        pt.q = q
-        pt.coords = coords
-        return pt
-
     @property
     def level(self) -> int:
         return len(self.coords)
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
-
-    def ints(self) -> tuple:
-        return tuple(x.to_int() for x in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, TowerPoint):
-            return NotImplemented
-        return (self.q, self.coords) == (other.q, other.coords)
-
-    def __hash__(self):
-        return hash((self.q, self.coords))
-
-    def __repr__(self):
-        return f"TowerPoint(q={self.q}, {[x.serialize() for x in self.coords]})"
-
-    def serialize(self) -> list:
-        return [x.serialize() for x in self.coords]
 
     def lift_to(self, target: FieldSpec) -> "TowerPoint":
         if target == self.spec:
@@ -271,10 +279,10 @@ class TowerPoint:
 # quotient-tower points in Z-coordinates
 # ---------------------------------------------------------------------------
 
-class X0Point:
+class X0Point(_Point):
     """Point (Z_2, ..., Z_n) of the level-n quotient tower."""
 
-    __slots__ = ("q", "zcoords")
+    __slots__ = ()
 
     def __init__(self, q: int, zcoords: tuple):
         zcoords = tuple(zcoords)
@@ -296,45 +304,21 @@ class X0Point:
                 raise ValueError(
                     "coordinates do not satisfy the quotient recursion")
         self.q = q
-        self.zcoords = zcoords
-
-    @classmethod
-    def _checked_elsewhere(cls, q: int, zcoords: tuple) -> "X0Point":
-        """A point whose coordinates the caller has already validated."""
-        pt = object.__new__(cls)
-        pt.q = q
-        pt.zcoords = zcoords
-        return pt
+        self.coords = zcoords
 
     @property
     def level(self) -> int:
-        return len(self.zcoords) + 1
+        return len(self.coords) + 1
 
     @property
-    def spec(self) -> FieldSpec:
-        return self.zcoords[0].spec
-
-    def ints(self) -> tuple:
-        return tuple(z.to_int() for z in self.zcoords)
-
-    def __eq__(self, other):
-        if not isinstance(other, X0Point):
-            return NotImplemented
-        return (self.q, self.zcoords) == (other.q, other.zcoords)
-
-    def __hash__(self):
-        return hash((self.q, self.zcoords))
-
-    def __repr__(self):
-        return f"X0Point(q={self.q}, {[z.serialize() for z in self.zcoords]})"
-
-    def serialize(self) -> list:
-        return [z.serialize() for z in self.zcoords]
+    def zcoords(self) -> tuple:
+        """The coordinates (Z_2, ..., Z_n), read-only."""
+        return self.coords
 
     def is_supersingular(self) -> bool:
         """All coordinates are (q+1)-st roots of unity other than -1."""
         one = self.spec.one()
-        return all(z ** (self.q + 1) == one for z in self.zcoords)
+        return all(z ** (self.q + 1) == one for z in self.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +404,18 @@ def xprime_relation_mask(q: int, field: FieldSpec, cols):
     return ok
 
 
+def _solvable_blocks(q: int, field: FieldSpec, solver):
+    """Yields (x, x^(q+1)) for each _chunks block of nonzero x: the x, in
+    ascending order, at which z^q + z = x^(q+1) has a solution, by the
+    solver of _trace_map(q, field).  The caller builds the tables."""
+    import numpy as np
+    for rows in _chunks(field.size - 1):
+        x = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64)
+        rhs = field.power_product((x, q + 1))
+        ok = solver.consistent_ints(rhs)
+        yield x[ok], rhs[ok]
+
+
 def _xprime_edge_blocks(q: int, field: FieldSpec):
     """The edges x -> z/x with z^q + z = x^(q+1), solved one _chunks
     block of nonzero x at a time.
@@ -433,12 +429,8 @@ def _xprime_edge_blocks(q: int, field: FieldSpec):
     import numpy as np
     solver = _solver_for(_trace_map(q, field), field)
     kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
-    for rows in _chunks(field.size - 1):
-        x = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64)
-        rhs = field.power_product((x, q + 1))
-        ok = solver.consistent_ints(rhs)
-        x = x[ok]
-        z = field.add_ints(np.repeat(solver.solve_ints(rhs[ok]), len(kernel)),
+    for x, rhs in _solvable_blocks(q, field, solver):
+        z = field.add_ints(np.repeat(solver.solve_ints(rhs), len(kernel)),
                            np.tile(kernel, len(x)))
         t = field.power_product((z, 1), (np.repeat(x, len(kernel)), -1))
         yield x, t.reshape(-1, len(kernel))

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from drintower.counting import (
     zeta_consistency,
 )
 from drintower.finite_field import make_field, prime_power
-from drintower.tower import enumerate_xprime
+from drintower.tower import enumerate_xprime, xprime_count
 from test_tower import DRAWN_FIELDS, _golden_count_configs
 
 
@@ -173,6 +174,14 @@ def test_hermitian_maximality(q, affine, genus):
     assert rep.attains_weil_bound
     assert rep.measured_model_match
     assert rep.zeta.exact_residuals_zero()
+    blob = json.loads(json.dumps(rep.to_json_dict()))
+    assert blob["attains_weil_bound"] is True
+    assert blob["measured_model_match"] is True
+    assert blob["measured"][0] == {"m": 1, "affine": affine,
+                                   "projective": affine + 1}
+    zeta = blob["zeta"]
+    assert zeta["symmetry_residual"] == "0"
+    assert zeta["count_residuals"] == ["0"] * len(zeta["counts"])
 
 
 def test_hermitian_two_code_paths_agree():
@@ -292,17 +301,21 @@ def test_count_range_past_the_cap_raises_before_walking(monkeypatch):
         count_points(4, 2, "xprime", 1, 6, FieldContext(cap=2**20))
 
 
-@pytest.mark.parametrize("q,m", [(2, 1), (2, 5), (3, 3), (4, 3), (5, 2),
-                                 (9, 1)])
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                 (3, 1), (3, 2), (3, 3), (4, 1), (4, 2),
+                                 (4, 3), (5, 1), (5, 2), (9, 1)])
 def test_hermitian_count_is_level_two_count_plus_x_zero_fiber(
         q, m, monkeypatch):
-    # two solves of z^q + z = x^(q+1): the Hermitian count over every x,
-    # and the level-2 x' walk over x != 0 without z = 0; they differ by
-    # the q points (0, z) with z^q + z = 0; blocks of 7 split the seeds
+    # both consumers of tower._solvable_blocks: the Hermitian count over
+    # every x, and the level-2 x' edges over x != 0 without z = 0; they
+    # differ by the q points (0, z) with z^q + z = 0, so dropping x = 0
+    # or miscounting the kernel on either side breaks the equality;
+    # blocks of 7 split the seeds
     from drintower import finite_field
     monkeypatch.setattr(finite_field, "_CHUNK", 7)
-    assert hermitian_affine_count(q, m) == \
-        count_points(q, 2, "xprime", m, m).rows[0].count + q
+    L = FieldContext().extension_of_k1(q, m)
+    assert hermitian_affine_count(q, m) == q + xprime_count(q, 2, L) == \
+        q + count_points(q, 2, "xprime", m, m).rows[0].count
 
 
 @pytest.mark.parametrize("q,m", [(2, 6), (3, 3)])

@@ -136,6 +136,26 @@ def test_kernel_matrix_vs_enumeration(p, m, q):
             assert kernel_in(u, spec) == kernel_by_enumeration(u, spec)
 
 
+@pytest.mark.parametrize("p,r,m_coeffs,m", [
+    (2, 1, 2, 6), (2, 2, 4, 8), (3, 1, 1, 4), (3, 2, 2, 4),
+    (5, 1, 2, 2), (5, 2, 2, 4), (17, 1, 1, 2), (17, 2, 2, 4)])
+def test_evaluation_matrix_columns_are_images_of_the_basis(p, r, m_coeffs, m):
+    # column j holds the digits of u(x^j) as __call__ evaluates it, for
+    # q = p^r, coefficients in a subfield (the map_to path) or in the
+    # field itself, and zero coefficients at the bottom and in between
+    rng = random.Random(p * 100 + m)
+    field = make_field(p, m)
+    basis = [field.element([int(i == j) for i in range(m)])
+             for j in range(m)]
+    for spec in (make_field(p, m_coeffs), field):
+        a, b, c = (spec.random_nonzero(rng) for _ in range(3))
+        zero = spec.zero()
+        for coeffs in ([a, zero, b], [zero, a, zero, b], [a, b, c]):
+            u = LinearizedPoly(p ** r, coeffs, spec)
+            columns = [list(col) for col in zip(*u.evaluation_matrix(field))]
+            assert columns == [list(u(x).coeffs) for x in basis]
+
+
 def test_kernel_is_q_subspace():
     gf81 = make_field(3, 4)
     rng = random.Random(5)

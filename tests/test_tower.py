@@ -511,6 +511,16 @@ def test_serialization():
     pt = TowerPoint(2, (w, gf4.one()))
     assert pt.serialize() == ["0,1", "1,0"]
     assert pt.project_to_x0().serialize() == ["0,1"]
+    assert repr(pt) == "TowerPoint(q=2, ['0,1', '1,0'])"
+    assert repr(X0Point(2, (w, w))) == "X0Point(q=2, ['0,1', '0,1'])"
+    # the two point types share one base but never compare equal
+    tp, zp = TowerPoint(2, (w,)), X0Point(2, (w,))
+    assert tp.coords == zp.coords == zp.zcoords and tp != zp
+    assert TowerPoint._checked_elsewhere(2, (w,)) == tp
+    assert X0Point._checked_elsewhere(2, (w,)) == zp
+    assert len({tp, zp, TowerPoint(2, (w,))}) == 2
+    with pytest.raises(AttributeError):
+        zp.zcoords = (w, w)
 
 
 def test_walk_checks_reject_corrupted_columns(monkeypatch):
