@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 verification failure (a failed identity in
 verify, a nonzero exact residual in zeta; the report is written either
 way), output that cannot be written, or a failed internal check (one
 error line, no traceback), 2 usage error, 3 field-size cap exceeded,
-or a count that could pass 2^63 - 1.  Identical configuration produces
-byte-identical output.
+a count that could pass 2^63 - 1, or a walk or count out of memory.
+Identical configuration produces byte-identical output.
 --workers is accepted for compatibility and ignored: the whole-field
 walks run as array code in one thread.  main sets OPENBLAS_NUM_THREADS=1 for its own process,
 overriding an inherited value, before numpy is first imported: numpy
@@ -59,20 +59,16 @@ from .counting import (
 from .finite_field import CapExceededError, DEFAULT_CAP, _chunks, \
     make_field, prime_power
 from .tower import (
+    TOWERS,
     TowerPoint,
-    _x0_walk,
+    _walk,
     cofactor_poly,
+    columns,
     kernel_line_poly,
     quotient_torsion_poly,
     project_columns_to_x0,
     supersingular_z_values,
     torsion_poly,
-    x0_columns,
-    x0_recursion_mask,
-    x0_supersingular_mask,
-    xprime_columns,
-    xprime_relation_mask,
-    xprime_supersingular_mask,
 )
 # bound here only for the benchmark's tracer, which wraps them
 from .tower import enumerate_x0, enumerate_xprime  # noqa: F401
@@ -114,7 +110,7 @@ class RunConfig:
             raise UsageError("n must be at least 2")
         if not 1 <= self.m_first <= self.m_last:
             raise UsageError("extension range must satisfy 1 <= m1 <= m2")
-        if self.variant not in ("xprime", "x0"):
+        if self.variant not in TOWERS:
             raise UsageError(f"unknown variant {self.variant!r}")
         if self.format not in ("json", "csv"):
             raise UsageError(f"unknown format {self.format!r}")
@@ -213,8 +209,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             elif key in ("variant", "format"):
                 setattr(cfg, key, str(value))
             elif key == "supersingular_only":
-                cfg.supersingular_only = str(value).lower() in \
-                    ("1", "true", "yes", "on")
+                text = str(value).lower()
+                if text not in ("1", "true", "yes", "on",
+                                "0", "false", "no", "off"):
+                    raise UsageError(f"bad boolean for {key}: {value!r}")
+                cfg.supersingular_only = text in ("1", "true", "yes", "on")
             elif key == "modulus":
                 values = value if isinstance(value, list) else [value]
                 for item in values:
@@ -377,15 +376,14 @@ def _suite_pairs(q, cols, k1):
 
 
 def _suite_z_recursion(q, cols, k1):
+    x0 = TOWERS["x0"]
     zcols = project_columns_to_x0(q, k1, cols)
     cases, failures = _pair_failures(k1, cols, [
-        x0_recursion_mask(q, k1, zcols[j:j + 2])
-        for j in range(len(zcols) - 1)])
+        x0.mask(q, k1, zcols[j:j + 2]) for j in range(len(zcols) - 1)])
     # and a case per level-3 quotient point, walked without the raising
     # check so that a bad row is recorded
-    quotient = _x0_walk(q, 3, k1)
-    more, bad = _pair_failures(k1, quotient,
-                               [x0_recursion_mask(q, k1, quotient)])
+    quotient = _walk(x0, q, 3, k1)
+    more, bad = _pair_failures(k1, quotient, [x0.mask(q, k1, quotient)])
     return cases + more, failures + bad
 
 
@@ -408,7 +406,7 @@ def _suite_action(q, cols, sample, k1):
         factors = (c.to_int(), c.frobenius(q).to_int())
         moved = [k1.power_product((col, 1), (factors[j % 2], 1))
                  for j, col in enumerate(cols)]
-        failed[:, k] = ~xprime_relation_mask(q, k1, moved) | \
+        failed[:, k] = ~TOWERS["xprime"].mask(q, k1, moved) | \
             np.logical_or.reduce([a != b for a, b in zip(
                 project_columns_to_x0(q, k1, moved), base)])
     failures = [{"point": k1.serialize_ints([c[row] for c in cols]),
@@ -429,7 +427,7 @@ def identity_suite(q: int, ctx: FieldContext) -> list:
     k1 = ctx.extension_of_k1(q, 1)
     big = ctx.field(p, 4 * r)
     # the level-3 points as integer columns, and row 0 as a checked point
-    cols = xprime_columns(q, 3, k1)
+    cols = columns(TOWERS["xprime"], q, 3, k1)
     sample = TowerPoint(q, k1.elements_at([c[0] for c in cols]))
 
     names = ("torsion_factors_through_line",
@@ -467,16 +465,12 @@ def _cmd_enumerate(cfg: RunConfig) -> int:
         raise UsageError("enumerate takes a single extension, not a range")
     ctx = cfg.context()
     L = ctx.extension_of_k1(cfg.q, cfg.m_first)
-    if cfg.variant == "xprime":
-        cols = xprime_columns(cfg.q, cfg.n, L)
-        supersingular = xprime_supersingular_mask
-        names = [f"x{i}" for i in range(1, cfg.n + 1)]
-    else:
-        cols = x0_columns(cfg.q, cfg.n, L)
-        supersingular = x0_supersingular_mask
-        names = [f"Z{i}" for i in range(2, cfg.n + 1)]
+    tower = TOWERS[cfg.variant]
+    cols = columns(tower, cfg.q, cfg.n, L)
+    names = [f"{tower.letter}{i}"
+             for i in range(cfg.n - len(cols) + 1, cfg.n + 1)]
     if cfg.supersingular_only:
-        keep = supersingular(cfg.q, L, cols)
+        keep = tower.supersingular_mask(cfg.q, L, cols)
         cols = [c[keep] for c in cols]
     cols = [L.check_ints(c) for c in cols]
     meta = _meta(cfg, "enumerate", ctx)
@@ -554,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--q", type=int,
                         help="base field size, a prime power")
     parser.add_argument("--n", type=int, help="tower level")
-    parser.add_argument("--variant", choices=("xprime", "x0"),
+    parser.add_argument("--variant", choices=tuple(TOWERS),
                         help="x-coordinate tower or its Z-coordinate "
                              "quotient")
     parser.add_argument("--ext", help="extension index m or range m1..m2 "
@@ -588,6 +582,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        # a walk or a count larger than the memory left
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (RuntimeError, ValueError) as exc:
         # a failed internal check: a walk's relation or range check

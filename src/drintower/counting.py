@@ -14,11 +14,13 @@ recorded on every report:
   function: every inverse Frobenius root equals -q.
 
 Tower counts come from transfer weights, one exact integer per field
-element (see tower.x0_count and tower.xprime_count): memory is two
-weight arrays plus the field's tables, whatever the level, and a count
-whose bound passes 2^63 - 1 is refused up front.  The zeta solver works
-in exact rational arithmetic throughout; the only floating point
-appears in the advisory inverse-root magnitude report.
+element (see tower.count): memory is two weight arrays plus the field's
+tables, whatever the level, and for x' also its level-2 edges, kept as
+int32 pairs.  Those number q^(2m) - q - q(q-1)(-q)^m over GF(q^(2m)),
+about the field size, but q^3 - q = q|F| - q over GF(q^2): 1.07 GB at
+q = 512.  A count whose bound passes 2^63 - 1 is refused up front.  The
+zeta solver works in exact rational arithmetic throughout; the only
+floating point appears in the advisory inverse-root magnitude report.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from .finite_field import (
 )
 from .linearized import _solver_for
 from .tower import (
+    TOWERS,
     _solvable_blocks,
     _trace_map,
     _weight_dtype,
+    count,
     degenerate_z_skips,
-    x0_count,
-    xprime_count,
 )
 # bound here only for the benchmark's tracer, which wraps them
 from .tower import enumerate_x0, enumerate_xprime  # noqa: F401
@@ -101,13 +103,12 @@ class CountReport:
                 f"supersingular count {self.supersingular_count} does not "
                 f"match the closed form {expected}")
         for row in self.rows:
-            if row.m == 1 and self.variant == "xprime" \
-                    and row.count < self.supersingular_count:
+            if row.m == 1 and row.count < self.supersingular_count:
                 raise RuntimeError("count over GF(q^2) lost points")
 
     def expected_supersingular(self) -> int:
-        base = self.q ** (self.n - 1)
-        return (self.q**2 - 1) * base if self.variant == "xprime" else base
+        tower = TOWERS[self.variant]
+        return tower.supersingular_closed_form(self.q, self.n)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -134,19 +135,20 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
     """Count the chosen tower over GF(q^2), ..., GF(q^(2*m_last)).
 
     Each count comes from transfer weights, one per field element (see
-    tower.x0_count and tower.xprime_count), so no row and no point
-    object is built, and a count holds two weight arrays beside the
-    field's tables at every level n.  The supersingular tally is always
+    tower.count), so no row and no point object is built, and a count
+    holds two weight arrays beside the field's tables at every level n,
+    and for x' also its level-2 edges.  The supersingular tally is always
     taken over GF(q^2) regardless of the extension range: for x0, by the
     same count restricted to the supersingular Z-values; for x', it is
-    the count over GF(q^2), where every point is supersingular.  The
-    degenerate-Z tally of x0 is its closed form n - 1 (see
-    tower.degenerate_z_skips).  Raises CapExceededError, before any
-    field-sized work, when a field of the range passes the cap or a
-    count in it could pass 2^63 - 1.
+    the count over GF(q^2), where every point is supersingular, taken
+    once (see tower.Tower).  The degenerate-Z tally of x0 is its closed
+    form n - 1 (see tower.degenerate_z_skips).  Raises CapExceededError,
+    before any field-sized work, when a field of the range passes the
+    cap or a count in it could pass 2^63 - 1.
     """
-    if variant not in ("xprime", "x0"):
+    if variant not in TOWERS:
         raise ValueError(f"unknown tower variant {variant!r}")
+    tower = TOWERS[variant]
     if m_last is None:
         m_last = m_first
     if not 1 <= m_first <= m_last:
@@ -157,18 +159,14 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
     # the cap or past int64 fails at once
     for m in range(m_first, m_last + 1):
         _weight_dtype(q, n, ctx.extension_of_k1(q, m))
-    if variant == "xprime":
-        count = xprime_count
-        ss = xprime_count(q, n, k1)
-    else:
-        count = x0_count
-        ss = x0_count(q, n, k1, supersingular=True)
+    tally_is_k1_count = tower.k1_count_is_tally
+    ss = count(tower, q, n, k1, supersingular=not tally_is_k1_count)
     rows = []
     for m in range(m_first, m_last + 1):
         L = ctx.extension_of_k1(q, m)
-        total = ss if m == 1 and variant == "xprime" else count(q, n, L)
+        total = ss if m == 1 and tally_is_k1_count else count(tower, q, n, L)
         rows.append(ExtensionCount(m, L.serialize(), L.size, total))
-    skipped = degenerate_z_skips(q, n, k1) if variant == "x0" else None
+    skipped = degenerate_z_skips(q, n, k1) if tower.degenerate_z else None
     return CountReport(q, n, variant, tuple(rows), ss,
                        degenerate_z_skipped=skipped)
 

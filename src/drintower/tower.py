@@ -28,27 +28,29 @@ the tuple) leaves the coordinates Z_j = (x_{j-1} x_j)^(q-1), which obey
 
     Z_{j+1} (1+Z_{j+1})^(q-1) = Z_j^q / (1+Z_j)^(q-1)
 
-and generate the quotient tower; enumerate_x0 walks that recursion
-directly.  The children of a row depend only on its last coordinate, so
-both walks share one shape, over arrays of integer encodings (see
-finite_field).  Each tower gives its level-2 columns (the solved edges
-of x', the allowed Z of x0), one bucket index, and a key function of a
-block of the last column (the coordinate itself for x', the right side
-of the recursion for x0).  _walk then runs _expand n - 2 times, each in
-blocks of parent rows into columns allocated once at their known
-length, keeping the rows in lexicographic order, and _checked applies
-the tower's row mask block by block.  A count builds no row: it carries
-one weight per field element from level to level by exact integer
-scatter-adds, the number of rows ending in x (x', over the solved
-edges) or whose last Z has a given right side (x0, whose edges s -> t
-are f(t) = g(s) for the two sides f and g of the recursion).  So
-x0_count and xprime_count hold two weight arrays beside the tables at
-every level, and x' its edges too.
+and generate the quotient tower, which is walked directly.  The children
+of a row depend only on its last coordinate, so both towers share one
+shape, over arrays of integer encodings (see finite_field), and one
+frozen Tower in TOWERS describes each: its level-2 columns (the solved
+edges of x', the allowed Z of x0), one bucket index, a key function of
+a block of the last column (the coordinate itself for x', the right
+side of the recursion for x0), its row masks and its count blocks.
+_walk runs _expand n - 2 times, each in blocks of parent rows into
+columns allocated once at their known length, keeping the rows in
+lexicographic order, and columns applies the row mask block by block;
+enumerate_xprime and enumerate_x0 make points of those rows.  count
+builds no row: it carries one weight per field element from level to
+level by exact integer scatter-adds, the number of rows ending in x
+(x', over the solved edges) or whose last Z has a given right side
+(x0, whose edges s -> t are f(t) = g(s) for the two sides f and g of
+the recursion).  So a count holds two weight arrays beside the tables
+at every level, and x' its edges too.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .drinfeld import DrinfeldModule
 from .finite_field import (
@@ -369,29 +371,6 @@ def _expand(cols: list, starts, members, key) -> list:
     return out
 
 
-def _walk(n: int, cols: list, index, key) -> list:
-    """The level-n rows grown from the level-2 columns by n - 2 _expand
-    steps: index() builds the bucket index (starts, members), only when
-    a step needs it, and key maps a block of the last column to bucket
-    keys."""
-    if n > 2:
-        starts, members = index()
-        for _ in range(n - 2):
-            cols = _expand(cols, starts, members, key)
-    return cols
-
-
-def _checked(cols: list, mask, failure: str) -> tuple:
-    """The columns, read-only, once mask(block) accepts every row of each
-    _chunks block of rows; else RuntimeError(failure)."""
-    for rows in _chunks(len(cols[0])):
-        if not mask([c[rows] for c in cols]).all():
-            raise RuntimeError(failure)
-    for c in cols:
-        c.flags.writeable = False
-    return tuple(cols)
-
-
 def xprime_relation_mask(q: int, field: FieldSpec, cols):
     """Row mask of the coordinate columns that TowerPoint accepts: nonzero
     coordinates, and z^q + z = a^(q+1) with z = a*b for consecutive a, b."""
@@ -436,18 +415,17 @@ def _xprime_edge_blocks(q: int, field: FieldSpec):
         yield x, t.reshape(-1, len(kernel))
 
 
-def _xprime_edges(q: int, field: FieldSpec) -> tuple:
-    """The level-2 rows as (source, target) columns in (source, target)
+def _xprime_edges(q: int, field: FieldSpec) -> list:
+    """The level-2 rows as [source, target] columns in (source, target)
     order: the sources of _xprime_edge_blocks ascend, and each source's
     targets are sorted.
 
     The columns are allocated once, at the Hermitian count
     q^(2m) - q - q(q-1)(-q)^m of edges over GF(q^(2m)), and filled block
     by block; blocks that overrun that count or end short of it raise.
+    The caller checks the field and builds its tables.
     """
     import numpy as np
-    _check_coordinate_field(q, field)
-    field.tables()  # before anything of field size is allocated
     m = field.m // (2 * prime_power(q)[1])
     total = field.size - q - q * (q - 1) * (-q) ** m
     source = np.empty(total, dtype=np.int64)
@@ -461,24 +439,7 @@ def _xprime_edges(q: int, field: FieldSpec) -> tuple:
         target[start:end] = np.sort(t, axis=1).ravel()
     if end != total:
         raise RuntimeError(f"the level-2 edges number {end}, not {total}")
-    return source, target
-
-
-def xprime_columns(q: int, n: int, field: FieldSpec) -> tuple:
-    """The points of enumerate_xprime as read-only coordinate columns:
-    one int64 array of integer encodings per coordinate.
-
-    The edges are the level-2 rows, and their sources index the buckets
-    of every later level, keyed by the last coordinate itself.
-    """
-    if n < 2:
-        raise ValueError("the tower starts at level 2")
-    source, target = _xprime_edges(q, field)
-    cols = _walk(n, [source, target],
-                 lambda: (_bucket_starts(source, field.size), target),
-                 lambda x: x)
-    return _checked(cols, lambda rows: xprime_relation_mask(q, field, rows),
-                    "an enumerated point fails the tower relation")
+    return [source, target]
 
 
 def project_columns_to_x0(q: int, field: FieldSpec, cols) -> tuple:
@@ -490,7 +451,7 @@ def project_columns_to_x0(q: int, field: FieldSpec, cols) -> tuple:
 
 def xprime_supersingular_mask(q: int, field: FieldSpec, cols):
     """Boolean row mask of the supersingular points among coordinate
-    columns of xprime_columns: x_1^(q^2) = x_1.
+    columns of the x' tower: x_1^(q^2) = x_1.
 
     Like TowerPoint.is_supersingular, raises RuntimeError when a kept
     row has another coordinate outside GF(q^2).
@@ -502,19 +463,6 @@ def xprime_supersingular_mask(q: int, field: FieldSpec, cols):
             raise RuntimeError(
                 "supersingular point left GF(q^2); tower relation broken")
     return keep
-
-
-def enumerate_xprime(q: int, n: int, field: FieldSpec) -> list:
-    """All level-n points with every coordinate in the given field.
-
-    Seeds x_1 over the nonzero elements and extends one coordinate at a
-    time over the whole frontier at once; the result is sorted
-    lexicographically by coordinate index.  Every point is checked
-    against the tower relation before it is returned.
-    """
-    coords = zip(*(field.elements_at(c)
-                   for c in xprime_columns(q, n, field)))
-    return [TowerPoint._checked_elsewhere(q, xs) for xs in coords]
 
 
 def _one_plus(field: FieldSpec, z):
@@ -532,31 +480,32 @@ def _z_backward(q: int, field: FieldSpec, z):
     return field.power_product((z, q), (_one_plus(field, z), 1 - q))
 
 
-def _x0_walk(q: int, n: int, field: FieldSpec) -> list:
-    """The quotient walk, unchecked.
-
-    Z_2 ranges over the field minus -1.  Each later coordinate solves
-    Z_{j+1} (1+Z_{j+1})^(q-1) = rhs(Z_j): the allowed values are grouped
-    by their left side once, in ascending order within each bucket (the
-    argsort is stable), and _expand gives every row the bucket of its
-    right side.  Both sides are computed _CHUNK values at a time.
-    """
+def _x0_seeds(q: int, field: FieldSpec) -> list:
+    """The level-2 column of the quotient tower: Z_2 over F minus -1."""
     import numpy as np
-    if n < 2:
-        raise ValueError("the quotient tower starts at level 2")
-    _check_coordinate_field(q, field)
-    field.tables()  # before anything of field size is allocated
-    minus_one = field.p - 1  # encoding of the prime-field constant -1
-    allowed = np.delete(np.arange(field.size, dtype=np.int64), minus_one)
+    return [np.delete(np.arange(field.size, dtype=np.int64), field.p - 1)]
 
-    def index():
-        keys = np.empty(len(allowed), dtype=np.int64)
-        for rows in _chunks(len(allowed)):
-            keys[rows] = _z_forward(q, field, allowed[rows])
-        return (_bucket_starts(keys, field.size),
-                allowed[np.argsort(keys, kind="stable")])
 
-    return _walk(n, [allowed], index, lambda z: _z_backward(q, field, z))
+def _x0_index(q: int, field: FieldSpec, cols) -> tuple:
+    """The allowed values (the level-2 column) grouped by their left side
+    Z (1+Z)^(q-1), computed _CHUNK values at a time, in ascending order
+    within each bucket (the argsort is stable)."""
+    import numpy as np
+    allowed = cols[0]
+    keys = np.empty(len(allowed), dtype=np.int64)
+    for rows in _chunks(len(allowed)):
+        keys[rows] = _z_forward(q, field, allowed[rows])
+    return (_bucket_starts(keys, field.size),
+            allowed[np.argsort(keys, kind="stable")])
+
+
+def _x0_count_nodes(q: int, field: FieldSpec):
+    """The allowed Z, every value but -1, as one-column blocks, one
+    _chunks block at a time."""
+    import numpy as np
+    for rows in _chunks(field.size):
+        z = np.arange(rows.start, rows.stop, dtype=np.int64)
+        yield [z[z != field.p - 1]]
 
 
 def x0_recursion_mask(q: int, field: FieldSpec, cols):
@@ -571,21 +520,112 @@ def x0_recursion_mask(q: int, field: FieldSpec, cols):
     return ok
 
 
-def x0_columns(q: int, n: int, field: FieldSpec) -> tuple:
-    """The points of enumerate_x0 as read-only coordinate columns: one
-    int64 array of integer encodings per coordinate."""
-    return _checked(_x0_walk(q, n, field),
-                    lambda rows: x0_recursion_mask(q, field, rows),
-                    "an enumerated point fails the quotient recursion")
-
-
 def x0_supersingular_mask(q: int, field: FieldSpec, cols):
-    """Boolean row mask of the supersingular points among coordinate
-    columns of x0_columns: every Z^(q+1) = 1, as X0Point.is_supersingular
+    """Boolean row mask of the supersingular points among Z-columns of
+    the quotient tower: every Z^(q+1) = 1, as X0Point.is_supersingular
     tests."""
     import numpy as np
     return np.logical_and.reduce(
         [field.power_product((c, q + 1)) == 1 for c in cols])
+
+
+@dataclass(frozen=True)
+class Tower:
+    """One tower as its walk, checks and count see it; every callable
+    takes q and the field first.  A walk grows the columns level2 by the
+    buckets of index(level-2 columns), keyed by key(last coordinate);
+    its rows are points of class point, under headers letter + index.
+    mask accepts the rows of points, failure names a rejected row, and
+    supersingular_mask keeps the supersingular_closed_form(q, n) rows
+    over GF(q^2).  A count carries weights over the edges s -> t that
+    count_blocks lists as column blocks, from gather(block), the keys of
+    s, to key(block[-1]).  Facts: solved, the count blocks take a linear
+    solve, so a count checks them by mask and keeps them, as int32;
+    k1_count_is_tally, every point over GF(q^2) is supersingular, so that
+    count is the tally too; degenerate_z, the walk leaves out Z = -1.
+    """
+
+    letter: str
+    point: type
+    level2: Callable
+    index: Callable
+    key: Callable
+    mask: Callable
+    failure: str
+    supersingular_mask: Callable
+    supersingular_closed_form: Callable
+    count_blocks: Callable
+    gather: Callable
+    solved: bool
+    k1_count_is_tally: bool
+    degenerate_z: bool
+
+
+TOWERS = {
+    "xprime": Tower(
+        "x", TowerPoint, _xprime_edges,
+        lambda q, field, cols: (_bucket_starts(cols[0], field.size),
+                                cols[1]),
+        lambda q, field, x: x, xprime_relation_mask,
+        "an enumerated point fails the tower relation",
+        xprime_supersingular_mask, lambda q, n: (q * q - 1) * q ** (n - 1),
+        lambda q, field: ([x.repeat(t.shape[1]), t.ravel()]
+                          for x, t in _xprime_edge_blocks(q, field)),
+        lambda q, field, edges: edges[0],
+        solved=True, k1_count_is_tally=True, degenerate_z=False),
+    "x0": Tower(
+        "Z", X0Point, _x0_seeds, _x0_index, _z_backward, x0_recursion_mask,
+        "an enumerated point fails the quotient recursion",
+        x0_supersingular_mask, lambda q, n: q ** (n - 1),
+        _x0_count_nodes, lambda q, field, z: _z_forward(q, field, z[0]),
+        solved=False, k1_count_is_tally=False, degenerate_z=True),
+}
+
+
+def _walk(tower: Tower, q: int, n: int, field: FieldSpec) -> list:
+    """The level-n rows of the tower, unchecked: its level-2 columns
+    grown by n - 2 _expand steps over its one bucket index."""
+    if n < 2:
+        raise ValueError("the tower starts at level 2")
+    _check_coordinate_field(q, field)
+    field.tables()  # before anything of field size is allocated
+    cols = tower.level2(q, field)
+    if n > 2:
+        starts, members = tower.index(q, field, cols)
+        for _ in range(n - 2):
+            cols = _expand(cols, starts, members,
+                           lambda last: tower.key(q, field, last))
+    return cols
+
+
+def columns(tower: Tower, q: int, n: int, field: FieldSpec) -> tuple:
+    """The level-n points of the tower as read-only int64 columns of
+    integer encodings, rows in lexicographic order, once tower.mask
+    accepts each _chunks block of rows; else RuntimeError(failure)."""
+    cols = _walk(tower, q, n, field)
+    for rows in _chunks(len(cols[0])):
+        if not tower.mask(q, field, [c[rows] for c in cols]).all():
+            raise RuntimeError(tower.failure)
+    for c in cols:
+        c.flags.writeable = False
+    return tuple(cols)
+
+
+def _enumerate(tower: Tower, q: int, n: int, field: FieldSpec) -> list:
+    coords = zip(*(field.elements_at(c)
+                   for c in columns(tower, q, n, field)))
+    return [tower.point._checked_elsewhere(q, xs) for xs in coords]
+
+
+def enumerate_xprime(q: int, n: int, field: FieldSpec) -> list:
+    """All level-n points with every coordinate in the given field.
+
+    Seeds x_1 over the nonzero elements and extends one coordinate at a
+    time over the whole frontier at once; the result is sorted
+    lexicographically by coordinate index.  Every point is checked
+    against the tower relation before it is returned.
+    """
+    return _enumerate(TOWERS["xprime"], q, n, field)
 
 
 def enumerate_x0(q: int, n: int, field: FieldSpec) -> list:
@@ -596,8 +636,7 @@ def enumerate_x0(q: int, n: int, field: FieldSpec) -> list:
     by one bucketed walk over the whole field.  Every point is checked
     against the recursion before it is returned.
     """
-    coords = zip(*(field.elements_at(c) for c in x0_columns(q, n, field)))
-    return [X0Point._checked_elsewhere(q, zs) for zs in coords]
+    return _enumerate(TOWERS["x0"], q, n, field)
 
 
 def degenerate_z_skips(q: int, n: int, field: FieldSpec) -> int:
@@ -650,10 +689,11 @@ def _weight_dtype(q: int, n: int, field: FieldSpec):
     Both recursions have degree q, so a level-n count is at most
     q^(n-1) (|F| - 1), and a weight, which counts the rows ending in
     one key, at most q^(n-2).  Raises CapExceededError when the count
-    bound passes 2^63 - 1, where no int64 sum is exact.
+    bound passes 2^63 - 1, where no int64 sum is exact: at every n >= 63
+    without computing it, as it is at least 3 * 2^(n-1) there.
     """
     import numpy as np
-    if q ** (n - 1) * (field.size - 1) > 2**63 - 1:
+    if n >= 63 or q ** (n - 1) * (field.size - 1) > 2**63 - 1:
         raise CapExceededError(
             f"a level-{n} count over {field.p}^{field.m} can exceed "
             f"2^63 - 1 points")
@@ -666,53 +706,42 @@ def _checked_keys(keys, size: int):
     return keys
 
 
-def _transfer(blocks, size: int, dtype, weights, gather, scatter):
-    """One step of a count by transfer weights.
-
-    Every block lists edges s -> t: gather(block) gives the keys of the
-    sources, scatter(block) those of the targets.  Each edge carries
-    weights[gather key] (1 with weights None), summed exactly by
-    np.add.at into a new accumulator indexed by scatter key (None with
-    scatter None).  Returns the accumulator and the total weight
-    carried, which must equal the accumulator's sum.
-    """
+def _transfer(tower: Tower, q: int, field: FieldSpec, blocks, dtype,
+              weights, scatter: bool) -> tuple:
+    """One step of a count by transfer weights over the edges s -> t of
+    the blocks: each edge carries weights[tower.gather key of s] (1 with
+    weights None), summed exactly by np.add.at into a new accumulator
+    indexed by the tower.key of t (None without scatter).  Returns it
+    and the total weight carried, which must equal its sum."""
     import numpy as np
-    out = None if scatter is None else np.zeros(size, dtype=dtype)
+    size = field.size
+    out = np.zeros(size, dtype=dtype) if scatter else None
     total = 0
     for block in blocks:
         if weights is None:
-            w = np.ones(len(block), dtype=dtype)
+            w = np.ones(len(block[0]), dtype=dtype)
         else:
-            w = weights[_checked_keys(gather(block), size)]
+            w = weights[_checked_keys(tower.gather(q, field, block), size)]
         total += int(w.sum(dtype=np.int64))
-        if out is not None:
-            np.add.at(out, _checked_keys(scatter(block), size), w)
-    if out is not None and int(out.sum(dtype=np.int64)) != total:
+        if scatter:
+            np.add.at(out, _checked_keys(tower.key(q, field, block[-1]),
+                                         size), w)
+        del block, w  # not held while the next block is made
+    if scatter and int(out.sum(dtype=np.int64)) != total:
         raise RuntimeError("transfer weights were lost in a scatter")
     return out, total
 
 
-def _count(n: int, blocks, size: int, dtype, gather, scatter) -> int:
-    """The number of level-n rows: n - 2 steps of _transfer carry the
-    weights from the level-2 rows up to level n - 1, over the edge
-    blocks that blocks() lists afresh each time, and a last step sums
-    them over the edges into level n."""
-    weights = None
-    for _ in range(n - 2):
-        weights, _ = _transfer(blocks(), size, dtype, weights, gather,
-                               scatter)
-    return _transfer(blocks(), size, dtype, weights, gather, None)[1]
+def count(tower: Tower, q: int, n: int, field: FieldSpec,
+          supersingular: bool = False) -> int:
+    """The number of rows of columns(tower, q, n, field), from transfer
+    weights; with supersingular, of those tower.supersingular_mask keeps.
 
-
-def xprime_count(q: int, n: int, field: FieldSpec) -> int:
-    """The number of points of xprime_columns(q, n, field), from
-    transfer weights.
-
-    The weight of x at level j is the number of level-j rows ending in
-    x.  The edges are solved once, and each is checked against the
-    tower relation; they are kept as int32 (source, target) pairs in
-    their solve blocks, unsorted, except at n = 2, whose count is their
-    number.
+    The weight of k at level j is the number of level-j rows whose last
+    coordinate has key k.  n - 2 _transfer steps carry the weights from
+    level 2 to level n - 1 over the count blocks, and a last step sums
+    them into level n.  Beside the tables, a count holds two field-sized
+    weight arrays and any kept blocks.
     """
     import numpy as np
     if n < 2:
@@ -720,53 +749,26 @@ def xprime_count(q: int, n: int, field: FieldSpec) -> int:
     _check_coordinate_field(q, field)
     dtype = _weight_dtype(q, n, field)
     field.tables()  # before anything of field size is allocated
-    edges, total = [], 0
-    for x, t in _xprime_edge_blocks(q, field):
-        pairs = np.column_stack((np.repeat(x, t.shape[1]), t.ravel()))
-        if not xprime_relation_mask(q, field, pairs.T).all():
-            raise RuntimeError("an edge fails the tower relation")
-        total += len(pairs)
-        if n > 2:
-            edges.append(pairs.astype(np.int32))
-    if n == 2:
-        return total
-    return _count(n, lambda: iter(edges), field.size, dtype,
-                  lambda e: e[:, 0], lambda e: e[:, 1])
 
+    def blocks():
+        for cols in tower.count_blocks(q, field):
+            if tower.solved and not tower.mask(q, field, cols).all():
+                raise RuntimeError(tower.failure)
+            keep = tower.supersingular_mask(q, field, cols) \
+                if supersingular else slice(None)
+            yield [c[keep] for c in cols]
 
-def _x0_nodes(q: int, field: FieldSpec, supersingular: bool):
-    """The allowed Z, every value but -1, one _chunks block at a time;
-    with supersingular, only those with Z^(q+1) = 1."""
-    import numpy as np
-    for rows in _chunks(field.size):
-        z = np.arange(rows.start, rows.stop, dtype=np.int64)
-        keep = z != field.p - 1
-        if supersingular:
-            keep &= field.power_product((z, q + 1)) == 1
-        yield z[keep]
-
-
-def x0_count(q: int, n: int, field: FieldSpec,
-             supersingular: bool = False) -> int:
-    """The number of points of x0_columns(q, n, field), from transfer
-    weights; with supersingular, of those x0_supersingular_mask keeps.
-
-    The recursion has an edge s -> t exactly when f(t) = g(s), for
-    f = _z_forward and g = _z_backward, so the weights are indexed by
-    key: entry k at level j is the number of level-j rows whose last
-    coordinate has g = k.  Each step gathers the weight at f(t) and
-    adds it at g(t) for every allowed t, and f and g are computed
-    afresh for each _chunks block of t.  Beside the tables, the count
-    holds two field-sized arrays, the weights of two levels.
-    """
-    if n < 2:
-        raise ValueError("the quotient tower starts at level 2")
-    _check_coordinate_field(q, field)
-    dtype = _weight_dtype(q, n, field)
-    field.tables()  # before anything of field size is allocated
-    return _count(n, lambda: _x0_nodes(q, field, supersingular),
-                  field.size, dtype, lambda z: _z_forward(q, field, z),
-                  lambda z: _z_backward(q, field, z))
+    listed = blocks
+    if tower.solved and n > 2:
+        # map, unlike a loop, holds no block while the next is checked
+        kept = list(map(lambda cols: [c.astype(np.int32) for c in cols],
+                        blocks()))
+        listed = kept.__iter__
+    weights = None
+    for scatter in [True] * (n - 2) + [False]:
+        weights, total = _transfer(tower, q, field, listed(), dtype,
+                                   weights, scatter)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -112,10 +113,10 @@ def test_column_suites_report_a_corrupted_point(q, j, bad_z):
     # the quotient recursion, so x_{j+1} is moved to give Z = 0 or -1.
     from drintower.cli import _suite_action, _suite_pairs, \
         _suite_z_recursion
-    from drintower.tower import enumerate_xprime, xprime_columns
+    from drintower.tower import TOWERS, columns, enumerate_xprime
     k1 = make_field(*{3: (3, 2), 4: (2, 4)}[q])
     sample = enumerate_xprime(q, 3, k1)[0]
-    cols = xprime_columns(q, 3, k1)
+    cols = columns(TOWERS["xprime"], q, 3, k1)
     clean = (_suite_z_recursion(q, cols, k1),
              _suite_action(q, cols, sample, k1), *_suite_pairs(q, cols, k1))
     assert all(failures == [] for _, failures in clean)
@@ -451,6 +452,43 @@ def test_help_names_each_command_and_flag_once(capsys):
         assert len(re.findall(f"--{flag}(?![\\w-])", options)) == 1, flag
 
 
+@pytest.mark.parametrize("text,value", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("false", False), ("NO", False), ("Off", False),
+    ("ture", None), ("", None), ("2", None)])
+def test_config_boolean(text, value, tmp_path, capsys):
+    # a word outside the two lists is a usage error, not false
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"supersingular_only = {text}\n")
+    code, out, err = _run(capsys, "enumerate", "--q", "2", "--n", "2",
+                          "--ext", "1", "--config", str(cfg))
+    if value is None:
+        assert (code, out, err) == (
+            2, "", f"error: bad boolean for supersingular_only: {text!r}\n")
+    else:
+        assert code == 0
+        assert json.loads(out)["meta"]["config"]["supersingular_only"] \
+            is value
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # numpy's allocation failure in a walk exits 3, as a resource
+    # refusal, with no traceback and nothing on stdout; 2 EiB exceeds
+    # every address space, so the request fails at once
+    import numpy as np
+    from drintower import tower
+
+    def expand(*args):
+        return np.empty(2**58, dtype=np.int64)
+
+    monkeypatch.setattr(tower, "_expand", expand)
+    code, out, err = _run(capsys, "enumerate", "--q", "2", "--n", "3",
+                          "--ext", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert len(err.splitlines()) == 1
+
+
 def test_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("q: 3\n")
@@ -481,7 +519,7 @@ def test_ext_range_past_the_cap_fails_before_any_count(argv, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("counted before the cap check")
 
-    monkeypatch.setattr(counting, "xprime_count", refuse)
+    monkeypatch.setattr(counting, "count", refuse)
     monkeypatch.setattr(cli, "hermitian_affine_count", refuse)
     assert _run(capsys, *argv) == (
         3, "", "error: field size 2^24 exceeds the cap 1048576\n")
@@ -597,12 +635,13 @@ def test_full_device_is_one_error_line(command):
 _CORRUPT = {
     "enumerate": ("xprime", "_corrupt_bucket_member(pytest.MonkeyPatch(), "
                             "2, make_field(2, 4), 'xprime')"),
-    "count": ("x0", "backward = tower._z_backward\n"
+    "count": ("x0", "import dataclasses\n"
                     "def shifted(q, field, z):\n"
-                    "    keys = backward(q, field, z)\n"
+                    "    keys = tower._z_backward(q, field, z)\n"
                     "    keys[:1] += field.size\n"
                     "    return keys\n"
-                    "tower._z_backward = shifted"),
+                    "tower.TOWERS['x0'] = dataclasses.replace(\n"
+                    "    tower.TOWERS['x0'], key=shifted)"),
 }
 
 
@@ -685,11 +724,12 @@ def test_enumerate_writes_nothing_when_a_check_fails(capsys, monkeypatch):
     # a failed check is one error line and exit 1, with empty stdout
     argv = ["enumerate", "--q", "2", "--n", "2", "--ext", "2"]
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "xprime_supersingular_mask", refuse)
+        patched.setitem(cli.TOWERS, "xprime", dataclasses.replace(
+            cli.TOWERS["xprime"], supersingular_mask=refuse))
         code, out, err = _run(capsys, *argv, "--supersingular-only")
     assert (code, out, err) == (1, "", "error: mask refused\n")
     size = make_field(2, 4).size
-    monkeypatch.setattr(cli, "xprime_columns", lambda q, n, field: (
+    monkeypatch.setattr(cli, "columns", lambda tower, q, n, field: (
         np.array([1, 2]), np.array([3, size])))
     code, out, err = _run(capsys, *argv)
     assert (code, out, err) == (1, "", "error: encoding out of range\n")

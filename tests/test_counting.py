@@ -13,7 +13,7 @@ from drintower.counting import (
     zeta_consistency,
 )
 from drintower.finite_field import make_field, prime_power
-from drintower.tower import enumerate_xprime, xprime_count
+from drintower.tower import TOWERS, count, enumerate_xprime
 from test_tower import DRAWN_FIELDS, _golden_count_configs
 
 
@@ -136,6 +136,17 @@ def test_report_rejects_wrong_tallies():
         CountReport(2, 2, "xprime", (row,), 5)
     with pytest.raises(ValueError, match="variant"):
         count_points(2, 2, "bogus")
+
+
+@pytest.mark.parametrize("variant", sorted(TOWERS))
+def test_report_rejects_a_tally_above_its_k1_count(variant):
+    # the supersingular points over GF(q^2) are among its points, for
+    # either tower
+    ss = TOWERS[variant].supersingular_closed_form(2, 3)
+    row = ExtensionCount(1, "2^2/1,1,1", 4, ss - 1)
+    with pytest.raises(RuntimeError, match="lost points"):
+        CountReport(2, 3, variant, (row,), ss)
+    CountReport(2, 3, variant, (ExtensionCount(1, "2^2/1,1,1", 4, ss),), ss)
 
 
 def test_count_report_serialization():
@@ -268,6 +279,22 @@ def test_weight_dtype_follows_the_count_bound():
         _weight_dtype(2, 63, gf4)
 
 
+def test_weight_dtype_refuses_a_huge_level_without_its_bound():
+    # q^(n-1) is never built past n = 63, so the refusal stays small
+    import tracemalloc
+    from drintower.finite_field import CapExceededError
+    from drintower.tower import _weight_dtype
+    gf4 = make_field(2, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="2\\^63 - 1"):
+            _weight_dtype(2, 10**12, gf4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_counts_do_not_depend_on_field_model():
     # any irreducible modulus gives an isomorphic field, so all tallies
     # must agree with the default-model run
@@ -296,7 +323,7 @@ def test_count_range_past_the_cap_raises_before_walking(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("walked before the cap check")
 
-    monkeypatch.setattr(counting, "xprime_count", refuse)
+    monkeypatch.setattr(counting, "count", refuse)
     with pytest.raises(CapExceededError, match="2\\^24"):
         count_points(4, 2, "xprime", 1, 6, FieldContext(cap=2**20))
 
@@ -314,7 +341,8 @@ def test_hermitian_count_is_level_two_count_plus_x_zero_fiber(
     from drintower import finite_field
     monkeypatch.setattr(finite_field, "_CHUNK", 7)
     L = FieldContext().extension_of_k1(q, m)
-    assert hermitian_affine_count(q, m) == q + xprime_count(q, 2, L) == \
+    assert hermitian_affine_count(q, m) == \
+        q + count(TOWERS["xprime"], q, 2, L) == \
         q + count_points(q, 2, "xprime", m, m).rows[0].count
 
 

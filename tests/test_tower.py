@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -18,9 +19,10 @@ from drintower.tower import (
     supersingular_z_values,
     torsion_poly,
     verify_descent,
-    x0_columns,
-    xprime_columns,
 )
+from drintower.tower import TOWERS, columns
+
+XPRIME, X0 = TOWERS["xprime"], TOWERS["x0"]
 
 
 def _k1(q):
@@ -173,7 +175,7 @@ def test_xprime_enumeration_matches_direct_filter():
                     if (row[-1] * b) ** q + row[-1] * b
                     == row[-1] ** (q + 1)]
             got = list(zip(*(c.tolist()
-                             for c in xprime_columns(q, n, field))))
+                             for c in columns(XPRIME, q, n, field))))
             assert got == [tuple(x.to_int() for x in row) for row in rows], \
                 (q, field, n)
             if n > 2:
@@ -197,7 +199,7 @@ def test_xprime_walk_solves_once(monkeypatch):
     for name in ("consistent_ints", "solve_ints"):
         monkeypatch.setattr(GFpSolver, name,
                             counting(name, getattr(GFpSolver, name)))
-    xprime_columns(2, 5, make_field(2, 4))
+    columns(XPRIME, 2, 5, make_field(2, 4))
     assert sorted(calls) == ["consistent_ints", "solve_ints"]
 
 
@@ -500,7 +502,7 @@ def _check_x0_against_direct_filter(q, p, m, modulus, top_key, n):
                 else:
                     grown.append(row + (zb.to_int(),))
         rows = grown
-    got = list(zip(*(c.tolist() for c in x0_columns(q, n, field))))
+    got = list(zip(*(c.tolist() for c in columns(X0, q, n, field))))
     assert got == sorted(rows), (q, field, n)
     assert degenerate_z_skips(q, n, field) == skips, (q, field, n)
 
@@ -530,7 +532,7 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
     from drintower import tower
     from drintower.counting import count_points
     gf16 = make_field(2, 4)
-    cols = [c.copy() for c in xprime_columns(2, 3, gf16)]
+    cols = [c.copy() for c in columns(XPRIME, 2, 3, gf16)]
     assert tower.xprime_relation_mask(2, gf16, cols).all()
     # x3 -> x3 + 1 moves z = x2*x3 by x2, off the solution coset
     # unless x2 lies in GF(2)
@@ -539,7 +541,7 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
     flagged = ~tower.xprime_relation_mask(2, gf16, cols)
     assert np.flatnonzero(flagged).tolist() == [row]
 
-    zcols = [c.copy() for c in x0_columns(2, 3, gf16)]
+    zcols = [c.copy() for c in columns(X0, 2, 3, gf16)]
     assert tower.x0_recursion_mask(2, gf16, zcols).all()
     forward = tower._z_forward(2, gf16, np.arange(16))
     old = zcols[1][0]
@@ -560,29 +562,21 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
         _corrupt_bucket_member(patched, 2, gf16, "x0", value=1)
         with pytest.raises(RuntimeError,
                            match="fails the quotient recursion"):
-            x0_columns(2, 3, gf16)
-
-    # one wrong bucket member fails the columns
-    for variant, columns in (("xprime", xprime_columns),
-                             ("x0", x0_columns)):
-        with monkeypatch.context() as patched:
-            _corrupt_bucket_member(patched, 2, gf16, variant)
-            with pytest.raises(RuntimeError, match="enumerated point fails"):
-                columns(2, 3, gf16)
+            columns(X0, 2, 3, gf16)
 
     # the count reads no bucket: it fails on a key outside the field,
     # over GF(q^2), where it takes the tallies, and over an extension,
     # where it only counts
-    backward = tower._z_backward
     for m in (1, 2):
         for shift in (-1, 1):
             def shifted(q, field, z, shift=shift, m=m):
-                keys = backward(q, field, z)
+                keys = tower._z_backward(q, field, z)
                 if field.size == q ** (2 * m):
                     keys[:1] += shift * field.size
                 return keys
 
-            monkeypatch.setattr(tower, "_z_backward", shifted)
+            monkeypatch.setitem(TOWERS, "x0",
+                                dataclasses.replace(X0, key=shifted))
             with pytest.raises(RuntimeError, match="outside the field"):
                 count_points(2, 3, "x0", 1, m)
             monkeypatch.undo()
@@ -593,6 +587,45 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
     for variant in ("xprime", "x0"):
         with pytest.raises(RuntimeError, match="lost in a scatter"):
             count_points(2, 12, variant, 1, 1)
+
+
+def test_corrupted_walk_is_rejected_by_its_mask(monkeypatch):
+    # one wrong bucket member fails the columns of either tower through
+    # the description's row mask: with a mask that accepts every row,
+    # the same corrupted walk passes, with rows that differ
+    import numpy as np
+    gf16 = make_field(2, 4)
+    for variant, desc in TOWERS.items():
+        clean = columns(desc, 2, 3, gf16)
+        accept_all = dataclasses.replace(
+            desc, mask=lambda q, field, cols: np.ones(len(cols[0]), bool))
+        with monkeypatch.context() as patched:
+            _corrupt_bucket_member(patched, 2, gf16, variant)
+            with pytest.raises(RuntimeError, match="enumerated point fails"):
+                columns(desc, 2, 3, gf16)
+            corrupted = columns(accept_all, 2, 3, gf16)
+        assert [len(c) for c in corrupted] == [len(c) for c in clean]
+        assert not all(map(np.array_equal, corrupted, clean)), variant
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_count_checks_its_solved_edges(monkeypatch, n):
+    # the x' count blocks come from a solve: one wrong target fails the
+    # count, whether the edges are kept (n > 2) or listed once (n = 2)
+    from drintower import tower
+    real = tower._xprime_edge_blocks
+
+    def blocks(q, field):
+        for i, (x, t) in enumerate(real(q, field)):
+            if i == 0:
+                # t -> t + 1 moves z = x*t by x, off the coset as x != 1
+                t = t.copy()
+                t[-1, 0] ^= 1
+            yield x, t
+
+    monkeypatch.setattr(tower, "_xprime_edge_blocks", blocks)
+    with pytest.raises(RuntimeError, match="fails the tower relation"):
+        tower.count(XPRIME, 2, n, make_field(2, 4))
 
 
 def _corrupt_bucket_member(monkeypatch, q, field, variant, value=None):
@@ -636,7 +669,7 @@ def test_xprime_level_two_edges_are_written_once():
     field.tables()  # the tables are not part of the walk
     tracemalloc.start()
     try:
-        cols = xprime_columns(2, 2, field)
+        cols = columns(XPRIME, 2, 2, field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -660,21 +693,16 @@ def test_xprime_edges_off_their_count_raise(monkeypatch, change):
     monkeypatch.setattr(tower, "_xprime_edge_blocks", blocks)
     for n in (2, 3):
         with pytest.raises(RuntimeError, match="level-2 edges"):
-            xprime_columns(2, n, make_field(2, 8))
+            columns(XPRIME, 2, n, make_field(2, 8))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_supersingular_masks_match_point_methods(q):
-    from drintower.tower import (x0_supersingular_mask,
-                                 xprime_supersingular_mask)
     p, r = prime_power(q)
     big = make_field(p, 6 * r)  # GF(q^6): both kinds of points occur
     for n in (2, 3):
-        for columns, mask, enum in (
-                (xprime_columns, xprime_supersingular_mask,
-                 enumerate_xprime),
-                (x0_columns, x0_supersingular_mask, enumerate_x0)):
-            keep = mask(q, big, columns(q, n, big))
+        for desc, enum in ((XPRIME, enumerate_xprime), (X0, enumerate_x0)):
+            keep = desc.supersingular_mask(q, big, columns(desc, q, n, big))
             expected = [pt.is_supersingular() for pt in enum(q, n, big)]
             assert keep.tolist() == expected
             assert 0 < sum(expected) < len(expected)
@@ -684,7 +712,7 @@ def _weights_match_columns(q, field, variant, levels):
     """The transfer count of each level n against the column walk's
     levels 2..n: the count is the length of the level-n columns, every
     weight array the walk scatters equals a bincount of the columns, and
-    the supersingular count (x0) and tally (x') equal the mask sums.
+    the supersingular count and the report's tally equal the mask sum.
 
     The x' weight of x at level j counts the level-j rows ending in x;
     the x0 weight of k counts those whose last Z has _z_backward = k.
@@ -692,7 +720,7 @@ def _weights_match_columns(q, field, variant, levels):
     import numpy as np
     from drintower import tower
     from drintower.counting import count_points
-    mask = getattr(tower, f"{variant}_supersingular_mask")
+    desc = TOWERS[variant]
     real = tower._transfer
     for n in range(2, len(levels) + 2):
         weights = []
@@ -705,18 +733,15 @@ def _weights_match_columns(q, field, variant, levels):
 
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(tower, "_transfer", spy)
-            count = getattr(tower, f"{variant}_count")(q, n, field)
+            count = tower.count(desc, q, n, field)
         assert count == len(levels[n - 2][0])
         assert len(weights) == n - 2
         for cols, got in zip(levels, weights):
-            last = cols[-1]
-            if variant == "x0":
-                last = tower._z_backward(q, field, last)
+            last = desc.key(q, field, cols[-1])
             assert np.array_equal(got, np.bincount(last,
                                                    minlength=field.size))
-        ss = int(mask(q, field, levels[n - 2]).sum())
-        if variant == "x0":
-            assert tower.x0_count(q, n, field, supersingular=True) == ss
+        ss = int(desc.supersingular_mask(q, field, levels[n - 2]).sum())
+        assert tower.count(desc, q, n, field, supersingular=True) == ss
         ext, rem = divmod(field.m, 2 * prime_power(q)[1])
         report = count_points(q, n, variant, ext, ext)
         assert rem == 0 and report.rows[0].count == count
@@ -725,8 +750,7 @@ def _weights_match_columns(q, field, variant, levels):
 
 
 def _walk_levels(q, n, field, variant):
-    columns = xprime_columns if variant == "xprime" else x0_columns
-    return [columns(q, j, field) for j in range(2, n + 1)]
+    return [columns(TOWERS[variant], q, j, field) for j in range(2, n + 1)]
 
 
 # (q, p, m): GF(16), GF(2^10), GF(2^8), GF(81) and GF(25)
@@ -837,8 +861,8 @@ def test_walks_keep_rows_in_lexsort_order(q):
     p, r = prime_power(q)
     big = make_field(p, 6 * r)
     for n in (2, 3, 4):
-        for columns in (xprime_columns, x0_columns):
-            cols = columns(q, n, big)
+        for desc in TOWERS.values():
+            cols = columns(desc, q, n, big)
             order = np.lexsort(cols[::-1])
             assert len(order) > q
             assert np.array_equal(order, np.arange(len(order)))
@@ -850,7 +874,7 @@ def test_xprime_mask_rejects_supersingular_row_leaving_gf_q2():
     import numpy as np
     from drintower.tower import xprime_supersingular_mask
     gf16 = make_field(2, 4)
-    cols = [c.copy() for c in xprime_columns(2, 2, gf16)]
+    cols = [c.copy() for c in columns(XPRIME, 2, 2, gf16)]
     row = np.flatnonzero(xprime_supersingular_mask(2, gf16, cols))[0]
     cols[1][row] = next(x.to_int() for x in gf16.nonzero_elements()
                         if x.frobenius(2, 2) != x)
