@@ -18,6 +18,10 @@ walks run as array code in one thread.  main sets OPENBLAS_NUM_THREADS=1 for its
 overriding an inherited value, before numpy is first imported: numpy
 would otherwise start an OpenBLAS thread pool that no integer array
 product uses.  Importing this module leaves the environment alone.
+main returns the exit code; run, the entry of the `drintower` script
+and of `python -m drintower`, exits with it after gc.freeze, so the
+interpreter's final collections skip the objects numpy and the
+package leave behind.
 
 enumerate works on the sorted, relation-checked integer coordinate
 columns of the tower walks, and no per-point TowerPoint, X0Point or
@@ -25,8 +29,8 @@ FieldElement is built: --supersingular-only is a row mask, and every
 check (tower relation, supersingular mask, encoding range) runs before
 the first byte is written.  The text before the points comes from the
 same renderers as every other report.  The points follow in the row
-blocks of finite_field._chunks, each rendered as one uint8 matrix from
-the byte tables of FieldSpec.text_tables in the exact layout of
+blocks of finite_field._chunks, each rendered into one reused uint8
+matrix from the byte tables of FieldSpec.text_tables in the exact layout of
 json.dumps (indent 2) or csv.writer, so the process holds the columns
 and one block of text, never the whole listing.
 
@@ -43,13 +47,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import __version__, finite_field
 from .counting import (
     FieldContext,
     count_points,
@@ -268,43 +273,43 @@ def _write_report(cfg: RunConfig, meta: dict, body: dict,
         sys.stdout.write(_emit_csv(meta, csv_rows))
 
 
-def _render_rows(tables: tuple, cols: list, head: str, sep: str,
-                 tail: str) -> str:
-    """Text of the rows of integer coordinate columns: for each row,
-    head, the element texts of its coordinates joined by sep, and tail.
+def _write_rows(field, cols: list, head: str, sep: str, tail: str,
+                skip: int = 0) -> None:
+    """Write the rows of integer coordinate columns to stdout, leaving
+    out the first skip characters: for each row, head, the element texts
+    of its coordinates joined by sep, and tail.
 
-    The rows are one (rows, width) uint8 matrix: the literal pieces are
-    broadcast into fixed columns, and each coordinate's slot is gathered
-    from the two NUL-padded half tables of FieldSpec.text_tables.  Where
-    the tables are padded (p > 10), one boolean mask drops the padding.
+    Every _chunks block of rows is rendered into one (rows, width) uint8
+    matrix, allocated once for _CHUNK rows and sliced for the last
+    block.  The literal pieces sit in fixed columns, written once, and
+    each coordinate's slot is gathered from the two NUL-padded half
+    tables of FieldSpec.text_tables.  Where the tables are padded
+    (p > 10), one boolean mask drops the padding.
     """
     import numpy as np
-    base, low, high = tables
+    base, low, high = field.text_tables()
     pieces = [head] + [sep] * (len(cols) - 1) + [tail]
     width = sum(map(len, pieces)) + \
         len(cols) * (low.shape[1] + high.shape[1])
-    out = np.empty((len(cols[0]), width), dtype=np.uint8)
+    buf = np.empty((min(finite_field._CHUNK, len(cols[0])), width),
+                   dtype=np.uint8)
+    slots = []
     at = 0
-    for i, piece in enumerate(pieces):
-        out[:, at:at + len(piece)] = np.frombuffer(piece.encode(), np.uint8)
+    for piece in pieces:
+        buf[:, at:at + len(piece)] = np.frombuffer(piece.encode(), np.uint8)
         at += len(piece)
-        if i < len(cols):
-            for table, idx in ((low, cols[i] % base), (high, cols[i] // base)):
-                out[:, at:at + table.shape[1]] = table[idx]
-                at += table.shape[1]
-    if not (low.all() and high.all()):
-        out = out[out != 0]
-    return out.tobytes().decode("ascii")
-
-
-def _write_rows(field, cols: list, head: str, sep: str, tail: str,
-                skip: int = 0) -> None:
-    """Write the rows of cols (see _render_rows) to stdout one _chunks
-    block of rows at a time, leaving out the first skip characters."""
-    tables = field.text_tables()
+        if len(slots) < len(cols):
+            slots.append((at, at + low.shape[1]))
+            at += low.shape[1] + high.shape[1]
+    padded = not (low.all() and high.all())
     for rows in _chunks(len(cols[0])):
-        block = [c[rows] for c in cols]
-        sys.stdout.write(_render_rows(tables, block, head, sep, tail)[skip:])
+        out = buf[:rows.stop - rows.start]
+        for c, (lo, hi) in zip(cols, slots):
+            out[:, lo:hi] = low[c[rows] % base]
+            out[:, hi:hi + high.shape[1]] = high[c[rows] // base]
+        out = out[out != 0] if padded else out.reshape(-1)
+        # decoded straight from the matrix, with no bytes copy between
+        sys.stdout.write(str(out[skip:], "ascii"))
         skip = 0
 
 
@@ -602,5 +607,14 @@ def main(argv=None) -> int:
         return 1  # the exit code of the traceback this replaces
 
 
+def run() -> None:
+    """The process entry of `drintower` and `python -m drintower`: exit
+    with main's code.  Every object left is frozen first, so the
+    interpreter's final collections skip them."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -43,12 +43,20 @@ columns, with no matrix product, so building a solver never builds
 tables by itself.
 
 The array helpers below work on numpy arrays of integer encodings:
-multiplicative monomials through the tables, addition digit by digit
-(XOR for p = 2), and GF(p)-linear maps, among them GFpSolver over many
-right-hand sides at once, on base-p digit matrices processed in
-bounded chunks (for p = 2, by 256-entry tables per 8-bit slice).
-Element text for arrays comes from two byte tables over the low and
-high halves of the digits (FieldSpec.text_tables).
+multiplicative monomials through the tables, sums, and GF(p)-linear
+maps (gfp_apply), among them GFpSolver over many right-hand sides at
+once.  For p = 2 a sum is XOR, and a map XORs the images of each
+8-bit input slice from a 256-entry table.  For odd p a map is a
+_PackedMap, applied one _chunks block at a time: each piece of h
+input digits (p^h <= 2^12) looks up the digits of its image mod p,
+packed in bit fields wide enough that the images add as plain int64
+with no carry crossing a field, and 12-bit tables unpack the sum,
+applying % p and the weights p^i; past p = 2^12 a piece is one digit
+and its image a product.  A sum packs both operands with the identity
+map and unpacks their sum (FieldSpec._adder, kept on the spec).  No
+table of either path has more than 2^12 entries.  Element text for
+arrays comes from two byte tables over the low and high halves of the
+digits (FieldSpec.text_tables).
 """
 
 from __future__ import annotations
@@ -274,12 +282,6 @@ def _encode(coeffs: Sequence[int], p: int) -> int:
     return n
 
 
-def _digits(vals, p: int, width: int):
-    """Base-p digit matrix (len(vals), width) of an int64 array."""
-    import numpy as np
-    return vals[:, None] // p ** np.arange(width, dtype=np.int64) % p
-
-
 def _chunks(length: int):
     """Slices of at most _CHUNK indices covering range(length) in order,
     the last one clipped at length, so start and stop are exact bounds.
@@ -311,27 +313,169 @@ def gfp_apply(mat, p: int, vals):
     """mat @ v over GF(p) for every v in vals.
 
     Vectors are in the integer encoding: vals holds len(mat[0])-digit
-    inputs and the result len(mat)-digit outputs.
+    inputs and the result len(mat)-digit outputs.  A matrix with no row
+    or no column maps every input to 0.
     """
+    return _gfp_map(mat, p)(vals)
+
+
+def _gfp_map(mat, p: int):
+    """gfp_apply(mat, p, .) as a function of vals, with the tables of mat
+    built once: 256-entry XOR tables per 8-bit input slice for p = 2,
+    else a _PackedMap, applied one _chunks block at a time."""
     import numpy as np
-    vals = np.asarray(vals, dtype=np.int64)
     mat = np.asarray(mat, dtype=np.int64) % p
-    weights = p ** np.arange(mat.shape[0], dtype=np.int64)
+    if not mat.size:
+        return lambda vals: np.zeros(len(vals), dtype=np.int64)
     if p == 2:
         # XOR of the images of each 8-bit slice of the input, looked up
         # in a 256-entry table per slice
-        images = weights @ mat
-        out = np.zeros(len(vals), dtype=np.int64)
+        images = 2 ** np.arange(mat.shape[0], dtype=np.int64) @ mat
+        tables = []
         for lo in range(0, mat.shape[1], 8):
             table = np.zeros(1, dtype=np.int64)
             for image in images[lo:lo + 8]:
                 table = np.concatenate([table, table ^ image])
-            out ^= table[(vals >> lo) & (len(table) - 1)]
+            tables.append((lo, table))
+
+        def apply(vals):
+            vals = np.asarray(vals, dtype=np.int64)
+            out = np.zeros(len(vals), dtype=np.int64)
+            for lo, table in tables:
+                out ^= table[(vals >> lo) & (len(table) - 1)]
+            return out
+        return apply
+    packed = _PackedMap(mat, p)
+
+    def apply(vals):
+        vals = np.asarray(vals, dtype=np.int64)
+        out = np.empty(len(vals), dtype=np.int64)
+        for rows in _chunks(len(vals)):
+            out[rows] = packed.unpack(packed.pack(vals[rows]))
         return out
-    out = np.empty(len(vals), dtype=np.int64)
-    for rows in _chunks(len(vals)):
-        out[rows] = _digits(vals[rows], p, mat.shape[1]) @ mat.T % p @ weights
-    return out
+    return apply
+
+
+# a lookup table of the packed kernel has at most 2**_GATHER_BITS entries
+_GATHER_BITS = 12
+# bits of an int64 that the packed fields of one group fill at most
+_GROUP_BITS = 62
+
+
+class _PackedMap:
+    """The GF(p)-linear map of an r x c matrix mat over GF(p), p odd, on
+    c-digit encodings, as lookup tables over packed digit sums.
+
+    An input splits into pieces of h digits, h the largest with
+    p^h <= 2^12.  Output digit i owns a field of w bits in one of a few
+    int64 groups of at most 62 bits.  The table of a piece holds, for
+    each of its values, the digits of its image mod p, each in its
+    field; for p > 2^12 a piece is one digit d, and its image is d times
+    the packed column, a product with no table.  pack adds the images of
+    the pieces as plain int64.  w bits hold the largest sum a field
+    reaches, terms images of each piece that touches it, so no carry
+    crosses a field.  A caller may add terms packed values before
+    unpack, which gathers whole fields, at most 12 bits at a time, from
+    tables that apply % p and the weights p^i; a wider field is reduced
+    on its own.  No table has more than 2^12 entries.
+    """
+
+    def __init__(self, mat, p: int, terms: int = 1):
+        import numpy as np
+        h = 1
+        while p ** (h + 1) <= 1 << _GATHER_BITS:
+            h += 1
+        self.p = p
+        self.base = p**h
+        self.lookup = self.base <= 1 << _GATHER_BITS
+        starts = range(0, mat.shape[1], h)
+        self.pieces = len(starts)
+        touching = sum((mat[:, k:k + h] != 0).any(axis=1) for k in starts)
+        top = terms * int(touching.max()) * (p - 1 if self.lookup
+                                             else (p - 1) ** 2)
+        width = max(1, top.bit_length())
+        per = _GROUP_BITS // width
+        if not per:
+            raise ValueError(
+                f"a GF({p})-linear map on {mat.shape[1]} digits has sums "
+                "too wide for int64")
+        if self.lookup:
+            images = [_piece_images(mat[:, k:k + h], p) for k in starts]
+        # unpacking gathers step fields at a time: spans[k - 1] holds the
+        # value of k fields' sums mod p with the weights 1, p, p^2, ...
+        step = max(1, min(_GATHER_BITS // width, mat.shape[0]))
+        spans = []
+        if width <= _GATHER_BITS:
+            digit = np.arange(1 << width, dtype=np.int64) % p
+            spans.append(digit)
+            for t in range(1, step):
+                spans.append((digit[:, None] * p**t + spans[-1]).ravel())
+        # per group: the packed image of each piece, and the unpacking of
+        # its fields as (shift, mask or 0 for the top bits, table or weight)
+        self.groups = []
+        for g0 in range(0, mat.shape[0], per):
+            sub = mat[g0:g0 + per]
+            bits = np.left_shift(1, width * np.arange(len(sub)),
+                                 dtype=np.int64)
+            if self.lookup:
+                packed = [img[:, g0:g0 + per] @ bits for img in images]
+            else:
+                packed = [int(col @ bits) for col in sub.T]
+            fields = []
+            for t0 in range(0, len(sub), step):
+                k = min(step, len(sub) - t0)
+                mask = (1 << width * k) - 1 if t0 + k < len(sub) else 0
+                weight = p ** (g0 + t0)
+                fields.append((width * t0, mask,
+                               spans[k - 1] * weight if spans else weight))
+            self.groups.append((packed, fields))
+
+    def pack(self, vals) -> list:
+        """The packed images of a block of encodings, one int64 array per
+        group."""
+        import numpy as np
+        idx = []
+        for _ in range(self.pieces - 1):
+            vals, low = np.divmod(vals, self.base)
+            idx.append(low)
+        idx.append(vals)
+        return [_total(image[i] if self.lookup else i * image
+                       for i, image in zip(idx, images))
+                for images, _ in self.groups]
+
+    def unpack(self, packed: list):
+        """The encodings of packed sums, one int64 array per group."""
+        def digits():
+            for acc, (_, fields) in zip(packed, self.groups):
+                for shift, mask, table in fields:
+                    f = acc >> shift
+                    if mask:
+                        f &= mask
+                    yield f % self.p * table if isinstance(table, int) \
+                        else table[f]
+        return _total(digits())
+
+
+def _total(arrays):
+    """The sum of fresh arrays, added in place into the first."""
+    arrays = iter(arrays)
+    total = next(arrays)
+    for a in arrays:
+        total += a
+    return total
+
+
+def _piece_images(cols, p: int):
+    """(p^h, r) matrix of cols @ v mod p for the h-digit vectors v, row v
+    for the encoding v, built one digit at a time."""
+    import numpy as np
+    images = np.zeros((1, cols.shape[0]), dtype=np.int64)
+    for col in cols.T:
+        # unreduced: the sums stay below h (p - 1)^2
+        images = (np.arange(p, dtype=np.int64)[:, None, None] * col
+                  + images).reshape(-1, len(col))
+    images %= p
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +634,10 @@ class FieldSpec:
         """exp/log tables by block doubling: exp[b:2b] = g^b * exp[0:b].
 
         Multiplying by the constant g^b is a GF(p)-linear map, so each
-        block is one matrix product on base-p digits, and the matrix of
-        g^(2b) is the square of the matrix of g^b.  Blocks are written,
-        and log is filled and checked, one _chunks block at a time.
+        block is one gfp_apply of its matrix, whose tables are built once
+        per block, and the matrix of g^(2b) is the square of the matrix
+        of g^b.  Blocks are written, and log is filled and checked, one
+        _chunks block at a time.
         """
         if self.size > TABLE_BUDGET:
             raise CapExceededError(
@@ -513,8 +658,9 @@ class FieldSpec:
         b = 1
         while b < order:
             k = min(b, order - b)
+            apply = _gfp_map(step, p)
             for rows in _chunks(k):
-                exp[b:][rows] = gfp_apply(step, p, exp[rows])
+                exp[b:][rows] = apply(exp[rows])
             step = step @ step % p
             b *= 2
         log = np.zeros(self.size, dtype=np.int32)
@@ -615,19 +761,29 @@ class FieldSpec:
         return k
 
     def add_ints(self, a, b):
-        """Elementwise sum of two equal-length arrays of encodings."""
+        """Elementwise sum of two equal-length arrays of encodings: XOR
+        for p = 2, else the sum of both operands packed by _adder, then
+        unpacked."""
         import numpy as np
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.p == 2:
             return a ^ b
-        p, m = self.p, self.m
-        weights = p ** np.arange(m, dtype=np.int64)
+        adder = self._adder
         out = np.empty(len(a), dtype=np.int64)
         for rows in _chunks(len(a)):
-            out[rows] = (_digits(a[rows], p, m)
-                         + _digits(b[rows], p, m)) % p @ weights
+            packed = adder.pack(a[rows])
+            for x, y in zip(packed, adder.pack(b[rows])):
+                x += y
+            out[rows] = adder.unpack(packed)
         return out
+
+    @functools.cached_property
+    def _adder(self) -> "_PackedMap":
+        """The identity of GF(p)^m packed for sums of two, built at the
+        first add_ints of an odd characteristic and kept with the spec."""
+        import numpy as np
+        return _PackedMap(np.eye(self.m, dtype=np.int64), self.p, terms=2)
 
     def elements_at(self, vals) -> list:
         """FieldElements for an array of encodings."""

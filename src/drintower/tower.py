@@ -466,8 +466,12 @@ def xprime_supersingular_mask(q: int, field: FieldSpec, cols):
 
 
 def _one_plus(field: FieldSpec, z):
-    import numpy as np
-    return field.add_ints(z, np.ones_like(z))
+    """1 + Z: only the lowest digit changes, and a lowest digit p - 1
+    wraps to 0."""
+    p = field.p
+    if p == 2:
+        return z ^ 1
+    return z + 1 - p * (z % p == p - 1)
 
 
 def _z_forward(q: int, field: FieldSpec, z):

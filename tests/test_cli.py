@@ -593,6 +593,54 @@ def test_subprocess_entry_point():
     assert "supersingular_over_k1,,,6" in proc.stdout
 
 
+# one command for each exit code: 0, 1 (a nonzero zeta residual), 2 (q
+# not a prime power) and 3 (GF(q^2) over the size cap)
+_EXIT_CASES = [
+    (0, ["count", "--q", "2", "--n", "2", "--ext", "1"]),
+    (1, ["zeta", "--q", "2", "--n", "2", "--genus", "0", "--ext", "1"]),
+    (2, ["count", "--q", "6"]),
+    (3, ["count", "--q", "4", "--cap", "10"]),
+]
+
+
+@pytest.mark.parametrize("want,argv", _EXIT_CASES)
+def test_process_entries_match_main(capsys, want, argv):
+    # python -m drintower and cli.run write main's stdout and exit with
+    # its code
+    code, out, _ = _run(capsys, *argv)
+    assert code == want
+    for entry in (["-m", "drintower"],
+                  ["-c", "from drintower.cli import run; run()"]):
+        proc = subprocess.run([sys.executable, *entry, *argv],
+                              capture_output=True, env=ENV)
+        assert (proc.returncode, proc.stdout) == (want, out.encode()), \
+            proc.stderr
+
+
+def test_run_freezes_once_after_main(monkeypatch):
+    import gc
+
+    import drintower.cli as cli_mod
+    events = []
+    monkeypatch.setattr(cli_mod, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.run()
+    assert exc.value.code == 3
+    assert events == ["main", "freeze"]
+
+
+def test_main_never_freezes(capsys, monkeypatch):
+    import gc
+
+    def refuse():
+        raise AssertionError("main froze the heap")
+
+    monkeypatch.setattr(gc, "freeze", refuse)
+    for want, argv in _EXIT_CASES:
+        assert _run(capsys, *argv)[0] == want
+
+
 def _assert_one_error_line(returncode, stderr):
     assert returncode == 1, stderr
     assert "Traceback" not in stderr and "Exception ignored" not in stderr

@@ -891,3 +891,11 @@ def test_module_caches_are_bounded():
                linearized._solver_for):
         maxsize = fn.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, fn.__name__
+    # the packed adder of add_ints lives on its spec, so the spec caches
+    # bound it, and holds no table of more than 2^12 entries
+    spec = make_field(3, 15)
+    assert spec.add_ints([1], [2]).tolist() == [0]
+    assert "_adder" in vars(spec)
+    for images, fields in spec._adder.groups:
+        for table in list(images) + [f[2] for f in fields]:
+            assert table.size <= 2**finite_field._GATHER_BITS
