@@ -178,8 +178,8 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
 def hermitian_affine_count(q: int, m: int = 1,
                            ctx: Optional[FieldContext] = None) -> int:
     """Points of z^q + z = x^(q+1) over the size-q^(2m) field, zeros
-    included: q for x = 0 and for each x of tower._solvable_blocks, as
-    each solvable fiber is a coset of the q-element kernel of z^q + z."""
+    included: q for x = 0 and for each x of tower._solvable_blocks (its
+    solution unused), whose fiber is a coset of the q-element kernel."""
     ctx = ctx or FieldContext()
     L = ctx.extension_of_k1(q, m)
     L.tables()  # before anything of field size is allocated

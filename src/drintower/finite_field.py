@@ -44,8 +44,9 @@ tables by itself.
 
 The array helpers below work on numpy arrays of integer encodings:
 multiplicative monomials through the tables, sums, and GF(p)-linear
-maps (gfp_apply), among them GFpSolver over many right-hand sides at
-once.  For p = 2 a sum is XOR, and a map XORs the images of each
+maps (gfp_apply), among them GFpSolver.solve_map, one map that
+solves for many right-hand sides at once and flags the inconsistent
+ones.  For p = 2 a sum is XOR, and a map XORs the images of each
 8-bit input slice from a 256-entry table.  For odd p a map is a
 _PackedMap, applied one _chunks block at a time: each piece of h
 input digits (p^h <= 2^12) looks up the digits of its image mod p,
@@ -62,6 +63,7 @@ digits (FieldSpec.text_tables).
 from __future__ import annotations
 
 import functools
+import operator
 import weakref
 from typing import Iterator, Optional, Sequence
 
@@ -314,7 +316,8 @@ def gfp_apply(mat, p: int, vals):
 
     Vectors are in the integer encoding: vals holds len(mat[0])-digit
     inputs and the result len(mat)-digit outputs.  A matrix with no row
-    or no column maps every input to 0.
+    or no column maps every input to 0.  Raises ValueError when an
+    output encoding can pass int64, p^len(mat) > 2^63.
     """
     return _gfp_map(mat, p)(vals)
 
@@ -325,6 +328,8 @@ def _gfp_map(mat, p: int):
     else a _PackedMap, applied one _chunks block at a time."""
     import numpy as np
     mat = np.asarray(mat, dtype=np.int64) % p
+    if p ** len(mat) > 2**63:
+        raise ValueError(f"{len(mat)}-digit GF({p}) encodings pass int64")
     if not mat.size:
         return lambda vals: np.zeros(len(vals), dtype=np.int64)
     if p == 2:
@@ -1064,7 +1069,14 @@ def trace_to_subfield(a: FieldElement, sub: FieldSpec) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 class GFpSolver:
-    """Repeated-right-hand-side solver for A x = b over GF(p)."""
+    """Repeated-right-hand-side solver for A x = b over GF(p).
+
+    One elimination of [A | I] gives T with T A in reduced echelon form.
+    The solve matrix holds T's rows in pivot-column order (a zero row for
+    each free column), then its parity rows past the rank.  Its image of
+    b is a solution of A x = b in the first ncols digits and 0 in the
+    parity digits, or has a nonzero parity digit when b has no solution.
+    """
 
     def __init__(self, mat: list, p: int):
         self.p = p
@@ -1094,54 +1106,39 @@ class GFpSolver:
             pivots.append(col)
             rank += 1
         self.rank = rank
-        self.pivots = pivots
-        self.reduced = [row[:ncols] for row in aug]
-        self.transform = [row[ncols:] for row in aug]
+        self.matrix = [[0] * n for _ in range(ncols)]
+        for row, pc in zip(aug, pivots):
+            self.matrix[pc] = row[ncols:]
+        self.matrix += [row[ncols:] for row in aug[rank:]]
         # null-space basis off the reduced rows: one vector per free column
         self.nullspace = []
         for fc in range(ncols):
             if fc not in pivots:
                 vec = [0] * ncols
                 vec[fc] = 1
-                for r, pc in enumerate(pivots):
-                    vec[pc] = (-self.reduced[r][fc]) % p
+                for row, pc in zip(aug, pivots):
+                    vec[pc] = -row[fc] % p
                 self.nullspace.append(vec)
 
     def solve(self, rhs: list):
         """One particular solution, or None when the system is inconsistent."""
-        p = self.p
-        c = []
-        for trow in self.transform:
-            s = 0
-            for x, y in zip(trow, rhs):
-                if x and y:
-                    s += x * y
-            c.append(s % p)
-        for r in range(self.rank, len(c)):
-            if c[r]:
-                return None
-        x = [0] * self.ncols
-        for r, pc in enumerate(self.pivots):
-            x[pc] = c[r]
-        return x
+        c = [sum(map(operator.mul, row, rhs)) % self.p
+             for row in self.matrix]
+        if any(c[self.ncols:]):
+            return None
+        return c[:self.ncols]
 
-    # -- many right-hand sides at once, in the integer encoding -------------
+    def solve_map(self):
+        """solve for an array of right-hand sides in the integer encoding,
+        as a function returning (ok, x): ok marks those with a solution
+        and x[ok] are their solutions.  Builds the tables once, here."""
+        apply = _gfp_map(self.matrix, self.p)
+        top = self.p**self.ncols
 
-    def consistent_ints(self, rhs):
-        """Boolean array: which right-hand sides have a solution."""
-        import numpy as np
-        parity = self.transform[self.rank:]
-        if not parity:
-            return np.ones(len(rhs), dtype=bool)
-        return gfp_apply(parity, self.p, rhs) == 0
-
-    def solve_ints(self, rhs):
-        """The particular solutions `solve` returns, for consistent
-        right-hand sides only."""
-        mat = [[0] * len(self.transform) for _ in range(self.ncols)]
-        for r, pc in enumerate(self.pivots):
-            mat[pc] = self.transform[r]
-        return gfp_apply(mat, self.p, rhs)
+        def solve(rhs):
+            x = apply(rhs)
+            return x < top, x
+        return solve
 
     def nullspace_ints(self) -> list:
         """Every vector of the null space, in the integer encoding: the

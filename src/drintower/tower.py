@@ -384,32 +384,33 @@ def xprime_relation_mask(q: int, field: FieldSpec, cols):
 
 
 def _solvable_blocks(q: int, field: FieldSpec, solver):
-    """Yields (x, x^(q+1)) for each _chunks block of nonzero x: the x, in
-    ascending order, at which z^q + z = x^(q+1) has a solution, by the
-    solver of _trace_map(q, field).  The caller builds the tables."""
+    """Yields (x, z) for each _chunks block of nonzero x: the x, in
+    ascending order, at which z^q + z = x^(q+1) has a solution, and one
+    solution z of each, by one solve_map of the solver of
+    _trace_map(q, field) for the pass.  The caller builds the tables."""
     import numpy as np
+    solve = solver.solve_map()
     for rows in _chunks(field.size - 1):
         x = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64)
-        rhs = field.power_product((x, q + 1))
-        ok = solver.consistent_ints(rhs)
-        yield x[ok], rhs[ok]
+        ok, z = solve(field.power_product((x, q + 1)))
+        yield x[ok], z[ok]
 
 
 def _xprime_edge_blocks(q: int, field: FieldSpec):
     """The edges x -> z/x with z^q + z = x^(q+1), solved one _chunks
     block of nonzero x at a time.
 
-    z -> z^q + z is GF(p)-linear, so the solutions are one matrix
-    product plus the q kernel elements, and none is 0 as x is not.
-    Yields (x, t): the solvable x of the block in ascending order, and
-    the (len(x), q) matrix of their targets, each row unsorted.  The
-    caller checks the field and builds its tables.
+    z -> z^q + z is GF(p)-linear, so the solutions are the particular
+    solution of _solvable_blocks plus the q kernel elements, and none
+    is 0 as x is not.  Yields (x, t): the solvable x of the block in
+    ascending order, and the (len(x), q) matrix of their targets, each
+    row unsorted.  The caller checks the field and builds its tables.
     """
     import numpy as np
     solver = _solver_for(_trace_map(q, field), field)
     kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
-    for x, rhs in _solvable_blocks(q, field, solver):
-        z = field.add_ints(np.repeat(solver.solve_ints(rhs), len(kernel)),
+    for x, z in _solvable_blocks(q, field, solver):
+        z = field.add_ints(np.repeat(z, len(kernel)),
                            np.tile(kernel, len(x)))
         t = field.power_product((z, 1), (np.repeat(x, len(kernel)), -1))
         yield x, t.reshape(-1, len(kernel))

@@ -548,9 +548,9 @@ def test_solver_arrays_match_scalar_solve(p, rows, cols):
     rhs = list(itertools.product(range(p), repeat=rows))
     enc = np.array([sum(c * p**i for i, c in enumerate(v)) for v in rhs])
     want = [solver.solve(list(v)) for v in rhs]
-    ok = solver.consistent_ints(enc)
+    ok, x = solver.solve_map()(enc)
     assert ok.tolist() == [w is not None for w in want]
-    assert solver.solve_ints(enc[ok]).tolist() == [
+    assert x[ok].tolist() == [
         sum(c * p**i for i, c in enumerate(w))
         for w in want if w is not None]
     kernel = solver.nullspace_ints()
@@ -559,6 +559,42 @@ def test_solver_arrays_match_scalar_solve(p, rows, cols):
         vec = [k // p**i % p for i in range(cols)]
         assert all(sum(x * y for x, y in zip(row, vec)) % p == 0
                    for row in mat)
+
+
+def _images(mat, p):
+    """A x for every x in GF(p)^cols, as tuples."""
+    return {tuple(sum(a * c for a, c in zip(row, x)) % p for row in mat)
+            for x in itertools.product(range(p), repeat=len(mat[0]))}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+def test_solver_solves_exactly_the_brute_force_images(p):
+    # both entry points against the images of every x: a right side has
+    # a solution iff it is an image, and the one returned maps to it
+    rng = random.Random(f"solve {p}")
+
+    def rand(rows, cols):
+        return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+    full = rand(3, 3)
+    while len(_images(full, p)) < p**3:             # no parity rows
+        full = rand(3, 3)
+    deficient = rand(2, 3)
+    deficient.append([(a + 2 * b) % p for a, b in zip(*deficient)])
+    for mat in [full, rand(2, 3), rand(3, 2), [[0] * 3, [0] * 3],
+                deficient]:
+        images = _images(mat, p)
+        solver = GFpSolver(mat, p)
+        rhs = list(itertools.product(range(p), repeat=len(mat)))
+        ok, enc = solver.solve_map()(
+            np.array([_int_encode(b, p) for b in rhs], dtype=np.int64))
+        for b, good, e in zip(rhs, ok.tolist(), enc.tolist()):
+            x = solver.solve(list(b))
+            assert (x is not None) == good == (b in images), (mat, b)
+            if good:
+                assert _int_encode(x, p) == e
+                assert tuple(sum(a * c for a, c in zip(row, x)) % p
+                             for row in mat) == b
 
 
 def _brute_kernel(mat, p):
@@ -651,6 +687,9 @@ def test_subfield_elements():
     sub3 = subfield_elements(big, 9)
     assert len(sub3) == 9
     assert all(x ** 9 == x for x in sub3)
+    # 66-digit encodings pass int64: refused, not wrapped to negatives
+    with pytest.raises(ValueError, match="int64"):
+        subfield_elements(make_field(2, 66, cap=2**66), 4)
 
 
 def test_serialization_roundtrip():

@@ -94,6 +94,16 @@ def test_gfp_apply_refuses_sums_too_wide_for_int64():
         gfp_apply([[p - 1, p - 1]], p, [p**2 - 1])
 
 
+@pytest.mark.parametrize("p,rows", [(2, 63), (3, 39), (17, 15)])
+def test_gfp_apply_refuses_outputs_past_int64(p, rows):
+    # p^rows <= 2^63 < p^(rows + 1): the largest rows-digit encoding
+    # p^rows - 1 fits in int64, one more row would wrap
+    ones = np.ones((rows, 1), dtype=np.int64)
+    assert gfp_apply(ones, p, [p - 1]).tolist() == [p**rows - 1]
+    with pytest.raises(ValueError, match="int64"):
+        gfp_apply(np.ones((rows + 1, 1)), p, [1])
+
+
 @pytest.mark.parametrize("p,m", [(3, 15), (5, 10), (17, 4), (4099, 2),
                                  (16777213, 1)])
 def test_packed_tables_have_at_most_2_12_entries(p, m):

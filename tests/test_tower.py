@@ -186,21 +186,29 @@ def test_xprime_enumeration_matches_direct_filter():
 
 
 def test_xprime_walk_solves_once(monkeypatch):
-    # one solver pass lists every edge; the later levels only look up
-    from drintower.finite_field import GFpSolver
-    calls = []
+    # one solve map per pass lists every edge and every Hermitian fiber,
+    # however many blocks the field spans; the later levels only look up
+    import numpy as np
+    from drintower import finite_field
+    from drintower.counting import hermitian_affine_count
+    widths = []
 
-    def counting(name, method):
-        def counted(self, rhs):
-            calls.append(name)
-            return method(self, rhs)
-        return counted
+    def counted(mat, p):
+        widths.append(np.shape(mat)[-1])
+        return real(mat, p)
 
-    for name in ("consistent_ints", "solve_ints"):
-        monkeypatch.setattr(GFpSolver, name,
-                            counting(name, getattr(GFpSolver, name)))
-    columns(XPRIME, 2, 5, make_field(2, 4))
-    assert sorted(calls) == ["consistent_ints", "solve_ints"]
+    real = finite_field._gfp_map
+    monkeypatch.setattr(finite_field, "_gfp_map", counted)
+    monkeypatch.setattr(finite_field, "_CHUNK", 4)
+    # GF(2^4) and GF(3^2), each in several blocks, with their tables
+    # built; count the maps that read an m-digit right side of
+    # z^q + z = x^(q+1)
+    for field, run in [(_k1(4), lambda: columns(XPRIME, 2, 3, _k1(4))),
+                       (_k1(3), lambda: hermitian_affine_count(3))]:
+        field.tables()
+        widths.clear()
+        run()
+        assert widths.count(field.m) == 1, widths
 
 
 def test_enumerate_no_duplicates_and_sorted():
