@@ -13,14 +13,14 @@ recorded on every report:
   q^2 + 1 + 2*g*q with g = q(q-1)/2, which pins the whole zeta
   function: every inverse Frobenius root equals -q.
 
-Tower counts come from transfer weights, one exact integer per field
-element (see tower.count): memory is two weight arrays plus the field's
-tables, whatever the level, and for x' also its level-2 edges, kept as
-int32 pairs.  Those number q^(2m) - q - q(q-1)(-q)^m over GF(q^(2m)),
-about the field size, but q^3 - q = q|F| - q over GF(q^2): 1.07 GB at
-q = 512.  A count whose bound passes 2^63 - 1 is refused up front.  The
-zeta solver works in exact rational arithmetic throughout; the only
-floating point appears in the advisory inverse-root magnitude report.
+Tower counts come from transfer weights over the quotient tower, one
+exact integer per field element (see tower.count), the x' count being
+q^2 - 1 times the count of the quotient rows that lift: memory is two
+weight arrays plus the field's tables, whatever the tower and the
+level, and no edge is kept.  A count whose bound passes 2^63 - 1 is
+refused up front.  The zeta solver works in exact rational arithmetic
+throughout; the only floating point appears in the advisory
+inverse-root magnitude report.
 """
 
 from __future__ import annotations
@@ -136,15 +136,14 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
 
     Each count comes from transfer weights, one per field element (see
     tower.count), so no row and no point object is built, and a count
-    holds two weight arrays beside the field's tables at every level n,
-    and for x' also its level-2 edges.  The supersingular tally is always
-    taken over GF(q^2) regardless of the extension range: for x0, by the
-    same count restricted to the supersingular Z-values; for x', it is
-    the count over GF(q^2), where every point is supersingular, taken
-    once (see tower.Tower).  The degenerate-Z tally of x0 is its closed
-    form n - 1 (see tower.degenerate_z_skips).  Raises CapExceededError,
-    before any field-sized work, when a field of the range passes the
-    cap or a count in it could pass 2^63 - 1.
+    of either tower holds two weight arrays beside the field's tables at
+    every level n.  The supersingular tally is always taken over GF(q^2)
+    regardless of the extension range, by the same count restricted to
+    the supersingular Z-values; for x' that count also checks that the
+    Z_2 it lifts over GF(q^2) are those values.  The degenerate-Z tally
+    of x0 is its closed form n - 1 (see tower.degenerate_z_skips).
+    Raises CapExceededError, before any field-sized work, when a field
+    of the range passes the cap or a count in it could pass 2^63 - 1.
     """
     if variant not in TOWERS:
         raise ValueError(f"unknown tower variant {variant!r}")
@@ -159,13 +158,12 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
     # the cap or past int64 fails at once
     for m in range(m_first, m_last + 1):
         _weight_dtype(q, n, ctx.extension_of_k1(q, m))
-    tally_is_k1_count = tower.k1_count_is_tally
-    ss = count(tower, q, n, k1, supersingular=not tally_is_k1_count)
+    ss = count(tower, q, n, k1, supersingular=True)
     rows = []
     for m in range(m_first, m_last + 1):
         L = ctx.extension_of_k1(q, m)
-        total = ss if m == 1 and tally_is_k1_count else count(tower, q, n, L)
-        rows.append(ExtensionCount(m, L.serialize(), L.size, total))
+        rows.append(ExtensionCount(m, L.serialize(), L.size,
+                                   count(tower, q, n, L)))
     skipped = degenerate_z_skips(q, n, k1) if tower.degenerate_z else None
     return CountReport(q, n, variant, tuple(rows), ss,
                        degenerate_z_skipped=skipped)

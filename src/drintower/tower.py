@@ -34,17 +34,18 @@ shape, over arrays of integer encodings (see finite_field), and one
 frozen Tower in TOWERS describes each: its level-2 columns (the solved
 edges of x', the allowed Z of x0), one bucket index, a key function of
 a block of the last column (the coordinate itself for x', the right
-side of the recursion for x0), its row masks and its count blocks.
-_walk runs _expand n - 2 times, each in blocks of parent rows into
-columns allocated once at their known length, keeping the rows in
-lexicographic order, and columns applies the row mask block by block;
-enumerate_xprime and enumerate_x0 make points of those rows.  count
-builds no row: it carries one weight per field element from level to
-level by exact integer scatter-adds, the number of rows ending in x
-(x', over the solved edges) or whose last Z has a given right side
-(x0, whose edges s -> t are f(t) = g(s) for the two sides f and g of
-the recursion).  So a count holds two weight arrays beside the tables
-at every level, and x' its edges too.
+side of the recursion for x0), its row masks, and the seed mask and
+multiplier of its count.  _walk runs _expand n - 2 times, each in
+blocks of parent rows into columns allocated once at their known
+length, keeping the rows in lexicographic order, and columns applies
+the row mask block by block; enumerate_xprime and enumerate_x0 make
+points of those rows.  count builds no row and solves nothing: it
+carries one weight per field element from level to level by exact
+integer scatter-adds, the number of quotient rows whose last Z has a
+given right side (the edges s -> t are f(t) = g(s) for the two sides f
+and g of the recursion), and counts x' as q^2 - 1 times the quotient
+rows whose Z_2 lifts.  So a count of either tower holds two weight
+arrays beside the tables at every level.
 """
 
 from __future__ import annotations
@@ -396,48 +397,34 @@ def _solvable_blocks(q: int, field: FieldSpec, solver):
         yield x[ok], z[ok]
 
 
-def _xprime_edge_blocks(q: int, field: FieldSpec):
-    """The edges x -> z/x with z^q + z = x^(q+1), solved one _chunks
+def _xprime_edges(q: int, field: FieldSpec) -> list:
+    """The level-2 rows as [source, target] columns in (source, target)
+    order: the edges x -> z/x with z^q + z = x^(q+1), solved one _chunks
     block of nonzero x at a time.
 
     z -> z^q + z is GF(p)-linear, so the solutions are the particular
     solution of _solvable_blocks plus the q kernel elements, and none
-    is 0 as x is not.  Yields (x, t): the solvable x of the block in
-    ascending order, and the (len(x), q) matrix of their targets, each
-    row unsorted.  The caller checks the field and builds its tables.
-    """
-    import numpy as np
-    solver = _solver_for(_trace_map(q, field), field)
-    kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
-    for x, z in _solvable_blocks(q, field, solver):
-        z = field.add_ints(np.repeat(z, len(kernel)),
-                           np.tile(kernel, len(x)))
-        t = field.power_product((z, 1), (np.repeat(x, len(kernel)), -1))
-        yield x, t.reshape(-1, len(kernel))
-
-
-def _xprime_edges(q: int, field: FieldSpec) -> list:
-    """The level-2 rows as [source, target] columns in (source, target)
-    order: the sources of _xprime_edge_blocks ascend, and each source's
-    targets are sorted.
-
-    The columns are allocated once, at the Hermitian count
-    q^(2m) - q - q(q-1)(-q)^m of edges over GF(q^(2m)), and filled block
-    by block; blocks that overrun that count or end short of it raise.
-    The caller checks the field and builds its tables.
+    is 0 as x is not.  The columns are allocated once, at the Hermitian
+    count q^(2m) - q - q(q-1)(-q)^m of edges over GF(q^(2m)), and filled
+    block by block; blocks that overrun that count or end short of it
+    raise.  The caller checks the field and builds its tables.
     """
     import numpy as np
     m = field.m // (2 * prime_power(q)[1])
     total = field.size - q - q * (q - 1) * (-q) ** m
     source = np.empty(total, dtype=np.int64)
     target = np.empty(total, dtype=np.int64)
+    solver = _solver_for(_trace_map(q, field), field)
+    kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
     end = 0
-    for x, t in _xprime_edge_blocks(q, field):
-        start, end = end, end + t.size
+    for x, z in _solvable_blocks(q, field, solver):
+        start, end = end, end + len(x) * q
         if end > total:
             raise RuntimeError(f"the level-2 edges pass their count {total}")
-        source[start:end] = np.repeat(x, t.shape[1])
-        target[start:end] = np.sort(t, axis=1).ravel()
+        z = field.add_ints(np.repeat(z, q), np.tile(kernel, len(x)))
+        source[start:end] = np.repeat(x, q)
+        t = field.power_product((z, 1), (source[start:end], -1))
+        target[start:end] = np.sort(t.reshape(-1, q), axis=1).ravel()
     if end != total:
         raise RuntimeError(f"the level-2 edges number {end}, not {total}")
     return [source, target]
@@ -504,15 +491,6 @@ def _x0_index(q: int, field: FieldSpec, cols) -> tuple:
             allowed[np.argsort(keys, kind="stable")])
 
 
-def _x0_count_nodes(q: int, field: FieldSpec):
-    """The allowed Z, every value but -1, as one-column blocks, one
-    _chunks block at a time."""
-    import numpy as np
-    for rows in _chunks(field.size):
-        z = np.arange(rows.start, rows.stop, dtype=np.int64)
-        yield [z[z != field.p - 1]]
-
-
 def x0_recursion_mask(q: int, field: FieldSpec, cols):
     """Row mask of the Z-columns that X0Point accepts: no coordinate is -1,
     and consecutive coordinates satisfy the quotient recursion."""
@@ -534,6 +512,23 @@ def x0_supersingular_mask(q: int, field: FieldSpec, cols):
         [field.power_product((c, q + 1)) == 1 for c in cols])
 
 
+def _lifting_z(q: int, field: FieldSpec, z):
+    """Mask of the Z_2 of a block under which x' rows lie: f(Z) =
+    Z(1+Z)^(q-1) is a nonzero (q^2-1)-th power, log f(Z) % (q^2-1) == 0.
+
+    Over GF(q^2) these must be exactly the q supersingular values, the
+    (q+1)-st roots of unity other than -1, else RuntimeError.
+    """
+    f = _checked_keys(_z_forward(q, field, z), field.size)
+    keep = (f != 0) & (field.tables()[1][f] % (q * q - 1) == 0)
+    if field.size == q * q and not (
+            keep == x0_supersingular_mask(q, field, [z])
+            & (z != field.p - 1)).all():
+        raise RuntimeError(
+            "the lifting Z over GF(q^2) are not the supersingular values")
+    return keep
+
+
 @dataclass(frozen=True)
 class Tower:
     """One tower as its walk, checks and count see it; every callable
@@ -542,12 +537,9 @@ class Tower:
     its rows are points of class point, under headers letter + index.
     mask accepts the rows of points, failure names a rejected row, and
     supersingular_mask keeps the supersingular_closed_form(q, n) rows
-    over GF(q^2).  A count carries weights over the edges s -> t that
-    count_blocks lists as column blocks, from gather(block), the keys of
-    s, to key(block[-1]).  Facts: solved, the count blocks take a linear
-    solve, so a count checks them by mask and keeps them, as int32;
-    k1_count_is_tally, every point over GF(q^2) is supersingular, so that
-    count is the tally too; degenerate_z, the walk leaves out Z = -1.
+    over GF(q^2).  A count walks the quotient tower from the Z_2 that
+    seed_mask keeps in a block and multiplies by multiplier(q).
+    degenerate_z: the walk leaves out Z = -1.
     """
 
     letter: str
@@ -559,10 +551,8 @@ class Tower:
     failure: str
     supersingular_mask: Callable
     supersingular_closed_form: Callable
-    count_blocks: Callable
-    gather: Callable
-    solved: bool
-    k1_count_is_tally: bool
+    seed_mask: Callable
+    multiplier: Callable
     degenerate_z: bool
 
 
@@ -574,16 +564,13 @@ TOWERS = {
         lambda q, field, x: x, xprime_relation_mask,
         "an enumerated point fails the tower relation",
         xprime_supersingular_mask, lambda q, n: (q * q - 1) * q ** (n - 1),
-        lambda q, field: ([x.repeat(t.shape[1]), t.ravel()]
-                          for x, t in _xprime_edge_blocks(q, field)),
-        lambda q, field, edges: edges[0],
-        solved=True, k1_count_is_tally=True, degenerate_z=False),
+        _lifting_z, lambda q: q * q - 1, degenerate_z=False),
     "x0": Tower(
         "Z", X0Point, _x0_seeds, _x0_index, _z_backward, x0_recursion_mask,
         "an enumerated point fails the quotient recursion",
         x0_supersingular_mask, lambda q, n: q ** (n - 1),
-        _x0_count_nodes, lambda q, field, z: _z_forward(q, field, z[0]),
-        solved=False, k1_count_is_tally=False, degenerate_z=True),
+        lambda q, field, z: z != field.p - 1, lambda q: 1,
+        degenerate_z=True),
 }
 
 
@@ -711,27 +698,26 @@ def _checked_keys(keys, size: int):
     return keys
 
 
-def _transfer(tower: Tower, q: int, field: FieldSpec, blocks, dtype,
-              weights, scatter: bool) -> tuple:
-    """One step of a count by transfer weights over the edges s -> t of
-    the blocks: each edge carries weights[tower.gather key of s] (1 with
-    weights None), summed exactly by np.add.at into a new accumulator
-    indexed by the tower.key of t (None without scatter).  Returns it
-    and the total weight carried, which must equal its sum."""
+def _transfer(q: int, field: FieldSpec, blocks, dtype, weights,
+              scatter: bool) -> tuple:
+    """One step of a count by transfer weights over the Z of the blocks:
+    each Z carries weights[f(Z)] (1 with weights None), summed exactly by
+    np.add.at into a new accumulator indexed by g(Z) (None without
+    scatter), for the sides f = _z_forward and g = _z_backward of the
+    recursion.  Returns it and the total weight carried, which must
+    equal its sum."""
     import numpy as np
     size = field.size
     out = np.zeros(size, dtype=dtype) if scatter else None
     total = 0
-    for block in blocks:
+    for z in blocks:
         if weights is None:
-            w = np.ones(len(block[0]), dtype=dtype)
+            w = np.ones(len(z), dtype=dtype)
         else:
-            w = weights[_checked_keys(tower.gather(q, field, block), size)]
+            w = weights[_checked_keys(_z_forward(q, field, z), size)]
         total += int(w.sum(dtype=np.int64))
         if scatter:
-            np.add.at(out, _checked_keys(tower.key(q, field, block[-1]),
-                                         size), w)
-        del block, w  # not held while the next block is made
+            np.add.at(out, _checked_keys(_z_backward(q, field, z), size), w)
     if scatter and int(out.sum(dtype=np.int64)) != total:
         raise RuntimeError("transfer weights were lost in a scatter")
     return out, total
@@ -740,13 +726,29 @@ def _transfer(tower: Tower, q: int, field: FieldSpec, blocks, dtype,
 def count(tower: Tower, q: int, n: int, field: FieldSpec,
           supersingular: bool = False) -> int:
     """The number of rows of columns(tower, q, n, field), from transfer
-    weights; with supersingular, of those tower.supersingular_mask keeps.
+    weights over the quotient tower; with supersingular, of those
+    tower.supersingular_mask keeps, every step keeping only the Z with
+    Z^(q+1) = 1.
 
-    The weight of k at level j is the number of level-j rows whose last
-    coordinate has key k.  n - 2 _transfer steps carry the weights from
-    level 2 to level n - 1 over the count blocks, and a last step sums
-    them into level n.  Beside the tables, a count holds two field-sized
-    weight arrays and any kept blocks.
+    The weight of k at level j counts the quotient rows of level j whose
+    last Z has g(Z) = k.  A first _transfer step puts weight 1 on each
+    Z_2 of tower.seed_mask, n - 3 more carry the weights to level n - 1,
+    and a last one sums them into level n, times tower.multiplier.  So a
+    count of either tower holds two weight arrays beside the tables.
+
+    x' is the lift of x0.  With z_j = x_{j-1} x_j and Z_j = z_j^(q-1),
+    z_j^q = Z_j z_j, so the relation reads z_j (1 + Z_j) = x_{j-1}^(q+1),
+    whose (q-1)-th power is f(Z_j) = x_{j-1}^(q^2-1): x_1^(q^2-1) = f(Z_2).
+    Conversely, given an x0 row and x_1 in F* with x_1^(q^2-1) = f(Z_2),
+    z_2 = x_1^(q+1)/(1+Z_2) and x_2 = z_2/x_1 give x_2^(q^2-1) = g(Z_2)
+    = f(Z_3), so the row lifts level by level, uniquely once x_1 is
+    chosen.  As q^2 - 1 divides |F| - 1, x -> x^(q^2-1) is (q^2-1)-to-one
+    onto the (q^2-1)-th powers of F*, so
+
+        #x'_n(F) = (q^2 - 1) #{x0 rows of level n with Z_2 != 0 and
+                               f(Z_2) a (q^2-1)-th power in F*},
+
+    the lifts of a row being one orbit of the GF(q^2)* scaling.
     """
     import numpy as np
     if n < 2:
@@ -755,25 +757,20 @@ def count(tower: Tower, q: int, n: int, field: FieldSpec,
     dtype = _weight_dtype(q, n, field)
     field.tables()  # before anything of field size is allocated
 
-    def blocks():
-        for cols in tower.count_blocks(q, field):
-            if tower.solved and not tower.mask(q, field, cols).all():
-                raise RuntimeError(tower.failure)
-            keep = tower.supersingular_mask(q, field, cols) \
-                if supersingular else slice(None)
-            yield [c[keep] for c in cols]
+    def blocks(seeds: bool):
+        for rows in _chunks(field.size):
+            z = np.arange(rows.start, rows.stop, dtype=np.int64)
+            keep = tower.seed_mask(q, field, z) if seeds \
+                else z != field.p - 1
+            if supersingular:
+                keep &= x0_supersingular_mask(q, field, [z])
+            yield z[keep]
 
-    listed = blocks
-    if tower.solved and n > 2:
-        # map, unlike a loop, holds no block while the next is checked
-        kept = list(map(lambda cols: [c.astype(np.int32) for c in cols],
-                        blocks()))
-        listed = kept.__iter__
     weights = None
     for scatter in [True] * (n - 2) + [False]:
-        weights, total = _transfer(tower, q, field, listed(), dtype,
-                                   weights, scatter)
-    return total
+        weights, total = _transfer(q, field, blocks(weights is None),
+                                   dtype, weights, scatter)
+    return tower.multiplier(q) * total
 
 
 # ---------------------------------------------------------------------------

@@ -683,13 +683,12 @@ def test_full_device_is_one_error_line(command):
 _CORRUPT = {
     "enumerate": ("xprime", "_corrupt_bucket_member(pytest.MonkeyPatch(), "
                             "2, make_field(2, 4), 'xprime')"),
-    "count": ("x0", "import dataclasses\n"
+    "count": ("x0", "real = tower._z_backward\n"
                     "def shifted(q, field, z):\n"
-                    "    keys = tower._z_backward(q, field, z)\n"
+                    "    keys = real(q, field, z)\n"
                     "    keys[:1] += field.size\n"
                     "    return keys\n"
-                    "tower.TOWERS['x0'] = dataclasses.replace(\n"
-                    "    tower.TOWERS['x0'], key=shifted)"),
+                    "tower._z_backward = shifted"),
 }
 
 

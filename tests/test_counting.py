@@ -267,6 +267,16 @@ def test_closed_form_tally_at_level_20(q, variant):
         assert report.rows[0].count == 274877906955
 
 
+def test_xprime_count_at_q_1024_is_its_closed_form():
+    # over GF(2^20) every x' point of level 3 is supersingular: the
+    # count, the tally and the closed form (q^2 - 1) q^2 agree, from two
+    # weight arrays where keeping the q^3 - q level-2 edges needed GBs
+    q = 1024
+    report = count_points(q, 3, "xprime", 1, 1)
+    assert report.supersingular_count == report.rows[0].count == \
+        (q * q - 1) * q * q == 1099510579200
+
+
 def test_weight_dtype_follows_the_count_bound():
     import numpy as np
     from drintower.finite_field import CapExceededError

@@ -574,20 +574,23 @@ def test_walk_checks_reject_corrupted_columns(monkeypatch):
 
     # the count reads no bucket: it fails on a key outside the field,
     # over GF(q^2), where it takes the tallies, and over an extension,
-    # where it only counts
-    for m in (1, 2):
-        for shift in (-1, 1):
-            def shifted(q, field, z, shift=shift, m=m):
-                keys = tower._z_backward(q, field, z)
-                if field.size == q ** (2 * m):
-                    keys[:1] += shift * field.size
-                return keys
+    # where it only counts, for either tower, as both count the
+    # quotient rows
+    real = tower._z_backward
+    for variant in ("xprime", "x0"):
+        for m in (1, 2):
+            for shift in (-1, 1):
+                def shifted(q, field, z, shift=shift, m=m):
+                    keys = real(q, field, z)
+                    if field.size == q ** (2 * m):
+                        keys[:1] += shift * field.size
+                    return keys
 
-            monkeypatch.setitem(TOWERS, "x0",
-                                dataclasses.replace(X0, key=shifted))
-            with pytest.raises(RuntimeError, match="outside the field"):
-                count_points(2, 3, "x0", 1, m)
-            monkeypatch.undo()
+                with monkeypatch.context() as patched:
+                    patched.setattr(tower, "_z_backward", shifted)
+                    with pytest.raises(RuntimeError,
+                                       match="outside the field"):
+                        count_points(2, 3, variant, 1, m)
     # and on a level whose scattered total differs from its gathered
     # total: int8 weights wrap past 127 in a level-12 count over GF(4)
     monkeypatch.setattr(tower, "_weight_dtype",
@@ -617,23 +620,30 @@ def test_corrupted_walk_is_rejected_by_its_mask(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_count_checks_its_solved_edges(monkeypatch, n):
-    # the x' count blocks come from a solve: one wrong target fails the
-    # count, whether the edges are kept (n > 2) or listed once (n = 2)
+def test_count_checks_its_lifting_seeds(monkeypatch, n):
+    # the x' count keeps the Z_2 whose f(Z_2) is a (q^2-1)-th power, and
+    # over GF(q^2) those must be the q supersingular values: one f-key
+    # moved off 1 there fails the count, while the same move over
+    # GF(q^4) goes unchecked
+    import numpy as np
     from drintower import tower
-    real = tower._xprime_edge_blocks
+    real = tower._z_forward
 
-    def blocks(q, field):
-        for i, (x, t) in enumerate(real(q, field)):
-            if i == 0:
-                # t -> t + 1 moves z = x*t by x, off the coset as x != 1
-                t = t.copy()
-                t[-1, 0] ^= 1
-            yield x, t
+    def moved(q, field, z):
+        keys = real(q, field, z)
+        if field.size == q * q:
+            keys[np.flatnonzero(keys == 1)[:1]] += 1
+        return keys
 
-    monkeypatch.setattr(tower, "_xprime_edge_blocks", blocks)
-    with pytest.raises(RuntimeError, match="fails the tower relation"):
-        tower.count(XPRIME, 2, n, make_field(2, 4))
+    for q in (2, 3):
+        k1 = make_field(q, 2)
+        assert tower.count(XPRIME, q, n, k1) == (q * q - 1) * q ** (n - 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(tower, "_z_forward", moved)
+            for supersingular in (False, True):
+                with pytest.raises(RuntimeError, match="lifting Z"):
+                    tower.count(XPRIME, q, n, k1, supersingular)
+            tower.count(XPRIME, q, n, make_field(q, 4))
 
 
 def _corrupt_bucket_member(monkeypatch, q, field, variant, value=None):
@@ -684,21 +694,39 @@ def test_xprime_level_two_edges_are_written_once():
     assert peak <= 1.5 * sum(c.nbytes for c in cols)
 
 
+def test_xprime_count_keeps_no_edges():
+    # the x' count holds two weight arrays, not the q^3 - q level-2
+    # edges over GF(q^2) (about 2.1 MB as int32 pairs at q = 64)
+    import tracemalloc
+    from drintower import tower
+    q = 64
+    field = make_field(2, 12)
+    field.tables()  # the tables are not part of the count
+    tracemalloc.start()
+    try:
+        total = tower.count(XPRIME, q, 3, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == (q * q - 1) * q * q
+    assert peak < (q ** 3 - q) * 8
+
+
 @pytest.mark.parametrize("change", ["drop", "repeat"])
 def test_xprime_edges_off_their_count_raise(monkeypatch, change):
     # the Hermitian edge count is checked, not trusted: a dropped edge
     # block ends short of it, a repeated one overruns it
     from drintower import finite_field, tower
     monkeypatch.setattr(finite_field, "_CHUNK", 16)
-    real = tower._xprime_edge_blocks
+    real = tower._solvable_blocks
 
-    def blocks(q, field):
-        out = list(real(q, field))
-        i = next(i for i, (x, t) in enumerate(out) if t.size)
+    def blocks(q, field, solver):
+        out = list(real(q, field, solver))
+        i = next(i for i, (x, z) in enumerate(out) if len(x))
         return iter(out[:i] + out[i + 1:] if change == "drop"
                     else out[:i + 1] + out[i:])
 
-    monkeypatch.setattr(tower, "_xprime_edge_blocks", blocks)
+    monkeypatch.setattr(tower, "_solvable_blocks", blocks)
     for n in (2, 3):
         with pytest.raises(RuntimeError, match="level-2 edges"):
             columns(XPRIME, 2, n, make_field(2, 8))
@@ -719,17 +747,20 @@ def test_supersingular_masks_match_point_methods(q):
 def _weights_match_columns(q, field, variant, levels):
     """The transfer count of each level n against the column walk's
     levels 2..n: the count is the length of the level-n columns, every
-    weight array the walk scatters equals a bincount of the columns, and
-    the supersingular count and the report's tally equal the mask sum.
+    weight array the count scatters, times the tower's multiplier,
+    equals a bincount of the columns, and the supersingular count and
+    the report's tally equal the mask sum.
 
-    The x' weight of x at level j counts the level-j rows ending in x;
-    the x0 weight of k counts those whose last Z has _z_backward = k.
+    The weight of k counts the quotient rows whose last Z has
+    _z_backward = k: for x0 the walk's rows, for x' the projections of
+    its rows, q^2 - 1 to each quotient row that lifts.
     """
     import numpy as np
     from drintower import tower
     from drintower.counting import count_points
     desc = TOWERS[variant]
     real = tower._transfer
+    multiplier = q * q - 1 if variant == "xprime" else 1
     for n in range(2, len(levels) + 2):
         weights = []
 
@@ -745,9 +776,11 @@ def _weights_match_columns(q, field, variant, levels):
         assert count == len(levels[n - 2][0])
         assert len(weights) == n - 2
         for cols, got in zip(levels, weights):
-            last = desc.key(q, field, cols[-1])
-            assert np.array_equal(got, np.bincount(last,
-                                                   minlength=field.size))
+            if variant == "xprime":
+                cols = tower.project_columns_to_x0(q, field, cols)
+            last = tower._z_backward(q, field, cols[-1])
+            assert np.array_equal(got * multiplier,
+                                  np.bincount(last, minlength=field.size))
         ss = int(desc.supersingular_mask(q, field, levels[n - 2]).sum())
         assert tower.count(desc, q, n, field, supersingular=True) == ss
         ext, rem = divmod(field.m, 2 * prime_power(q)[1])
@@ -840,6 +873,32 @@ def test_weights_match_columns_on_drawn_cases():
         field = make_field(p, 2 * r * m)
         _weights_match_columns(q, field, variant,
                                _walk_levels(q, n, field, variant))
+
+    check()
+
+
+def test_lifted_count_matches_solved_walk_for_odd_p():
+    # the x' count lifts quotient rows by a log test, the walk solves
+    # z^q + z = x^(q+1) edge by edge: two independent paths, here with
+    # the odd-p log tables and solver
+    from drintower import tower
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    odd = sorted(q for q in DRAWN_FIELDS if q % 2)
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from(odd).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(2, 5),
+                            st.integers(1, DRAWN_FIELDS[q]))))
+    def check(case):
+        q, n, m = case
+        p, r = prime_power(q)
+        field = make_field(p, 2 * r * m)
+        # keep the walk's rows, about q^(n-2) |F|, within 2^19
+        hypothesis.assume(q ** (n - 2) * field.size <= 2**19)
+        assert tower.count(XPRIME, q, n, field) == \
+            len(columns(XPRIME, q, n, field)[0])
 
     check()
 
