@@ -17,10 +17,11 @@ Tower counts come from transfer weights over the quotient tower, one
 exact integer per field element (see tower.count), the x' count being
 q^2 - 1 times the count of the quotient rows that lift: memory is two
 weight arrays plus the field's tables, whatever the tower and the
-level, and no edge is kept.  A count whose bound passes 2^63 - 1 is
-refused up front.  The zeta solver works in exact rational arithmetic
-throughout; the only floating point appears in the advisory
-inverse-root magnitude report.
+level, and no edge is kept; the quadratic-level model is q (its points
+with x = 0) plus the level-2 x' count, so no count solves an equation.
+A count whose bound passes 2^63 - 1 is refused up front.  The zeta
+solver works in exact rational arithmetic throughout; the only
+floating point appears in the advisory inverse-root magnitude report.
 """
 
 from __future__ import annotations
@@ -35,16 +36,14 @@ from .finite_field import (
     make_field,
     prime_power,
 )
-from .linearized import _solver_for
 from .tower import (
     TOWERS,
-    _solvable_blocks,
-    _trace_map,
     _weight_dtype,
     count,
     degenerate_z_skips,
 )
 # bound here only for the benchmark's tracer, which wraps them
+from .linearized import _solver_for  # noqa: F401
 from .tower import enumerate_x0, enumerate_xprime  # noqa: F401
 
 
@@ -176,13 +175,11 @@ def count_points(q: int, n: int, variant: str, m_first: int = 1,
 def hermitian_affine_count(q: int, m: int = 1,
                            ctx: Optional[FieldContext] = None) -> int:
     """Points of z^q + z = x^(q+1) over the size-q^(2m) field, zeros
-    included: q for x = 0 and for each x of tower._solvable_blocks (its
-    solution unused), whose fiber is a coset of the q-element kernel."""
+    included: the q roots of z^q + z = 0 over x = 0, and, as z = 0 only
+    there, the level-2 x' points (x, z/x), whose z_2 is z, for the rest,
+    by the lifted count of their Z_2 = z^(q-1) (see tower.count)."""
     ctx = ctx or FieldContext()
-    L = ctx.extension_of_k1(q, m)
-    L.tables()  # before anything of field size is allocated
-    solver = _solver_for(_trace_map(q, L), L)
-    return q * (1 + sum(len(x) for x, _ in _solvable_blocks(q, L, solver)))
+    return q + count(TOWERS["xprime"], q, 2, ctx.extension_of_k1(q, m))
 
 
 @dataclass(frozen=True)

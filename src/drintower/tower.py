@@ -384,28 +384,16 @@ def xprime_relation_mask(q: int, field: FieldSpec, cols):
     return ok
 
 
-def _solvable_blocks(q: int, field: FieldSpec, solver):
-    """Yields (x, z) for each _chunks block of nonzero x: the x, in
-    ascending order, at which z^q + z = x^(q+1) has a solution, and one
-    solution z of each, by one solve_map of the solver of
-    _trace_map(q, field) for the pass.  The caller builds the tables."""
-    import numpy as np
-    solve = solver.solve_map()
-    for rows in _chunks(field.size - 1):
-        x = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64)
-        ok, z = solve(field.power_product((x, q + 1)))
-        yield x[ok], z[ok]
-
-
 def _xprime_edges(q: int, field: FieldSpec) -> list:
     """The level-2 rows as [source, target] columns in (source, target)
     order: the edges x -> z/x with z^q + z = x^(q+1), solved one _chunks
     block of nonzero x at a time.
 
-    z -> z^q + z is GF(p)-linear, so the solutions are the particular
-    solution of _solvable_blocks plus the q kernel elements, and none
-    is 0 as x is not.  The columns are allocated once, at the Hermitian
-    count q^(2m) - q - q(q-1)(-q)^m of edges over GF(q^(2m)), and filled
+    z -> z^q + z is GF(p)-linear, so the solutions are one particular
+    solution, from one solve_map of the solver of _trace_map(q, field)
+    for the pass, plus the q kernel elements, and none is 0 as x is
+    not.  The columns are allocated once, at the Hermitian count
+    q^(2m) - q - q(q-1)(-q)^m of edges over GF(q^(2m)), and filled
     block by block; blocks that overrun that count or end short of it
     raise.  The caller checks the field and builds its tables.
     """
@@ -416,8 +404,12 @@ def _xprime_edges(q: int, field: FieldSpec) -> list:
     target = np.empty(total, dtype=np.int64)
     solver = _solver_for(_trace_map(q, field), field)
     kernel = np.array(solver.nullspace_ints(), dtype=np.int64)
+    solve = solver.solve_map()
     end = 0
-    for x, z in _solvable_blocks(q, field, solver):
+    for rows in _chunks(field.size - 1):
+        x = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64)
+        ok, z = solve(field.power_product((x, q + 1)))
+        x, z = x[ok], z[ok]
         start, end = end, end + len(x) * q
         if end > total:
             raise RuntimeError(f"the level-2 edges pass their count {total}")
@@ -514,13 +506,19 @@ def x0_supersingular_mask(q: int, field: FieldSpec, cols):
 
 def _lifting_z(q: int, field: FieldSpec, z):
     """Mask of the Z_2 of a block under which x' rows lie: f(Z) =
-    Z(1+Z)^(q-1) is a nonzero (q^2-1)-th power, log f(Z) % (q^2-1) == 0.
+    Z(1+Z)^(q-1) is a nonzero (q^2-1)-th power.  Tested on logs, f is
+    never built: log f(Z) = log Z + (q-1) log(1+Z) mod |F| - 1, and
+    q^2 - 1 divides |F| - 1, so the mask keeps the Z with Z != 0,
+    1+Z != 0 and (log Z + (q-1) log(1+Z)) % (q^2-1) == 0.
 
     Over GF(q^2) these must be exactly the q supersingular values, the
     (q+1)-st roots of unity other than -1, else RuntimeError.
     """
-    f = _checked_keys(_z_forward(q, field, z), field.size)
-    keep = (f != 0) & (field.tables()[1][f] % (q * q - 1) == 0)
+    import numpy as np
+    log = field.tables()[1]
+    w = _one_plus(field, z)
+    k = (q - 1) * log[w].astype(np.int64) + log[z]
+    keep = (z != 0) & (w != 0) & (k % (q * q - 1) == 0)
     if field.size == q * q and not (
             keep == x0_supersingular_mask(q, field, [z])
             & (z != field.p - 1)).all():

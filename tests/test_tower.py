@@ -186,8 +186,9 @@ def test_xprime_enumeration_matches_direct_filter():
 
 
 def test_xprime_walk_solves_once(monkeypatch):
-    # one solve map per pass lists every edge and every Hermitian fiber,
-    # however many blocks the field spans; the later levels only look up
+    # one solve map per pass lists every edge, however many blocks the
+    # field spans, and the later levels only look up; the Hermitian
+    # count is a lifted x' count and solves nothing
     import numpy as np
     from drintower import finite_field
     from drintower.counting import hermitian_affine_count
@@ -203,12 +204,13 @@ def test_xprime_walk_solves_once(monkeypatch):
     # GF(2^4) and GF(3^2), each in several blocks, with their tables
     # built; count the maps that read an m-digit right side of
     # z^q + z = x^(q+1)
-    for field, run in [(_k1(4), lambda: columns(XPRIME, 2, 3, _k1(4))),
-                       (_k1(3), lambda: hermitian_affine_count(3))]:
+    for field, run, maps in [
+            (_k1(4), lambda: columns(XPRIME, 2, 3, _k1(4)), 1),
+            (_k1(3), lambda: hermitian_affine_count(3), 0)]:
         field.tables()
         widths.clear()
         run()
-        assert widths.count(field.m) == 1, widths
+        assert widths.count(field.m) == maps, widths
 
 
 def test_enumerate_no_duplicates_and_sorted():
@@ -622,28 +624,53 @@ def test_corrupted_walk_is_rejected_by_its_mask(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_count_checks_its_lifting_seeds(monkeypatch, n):
     # the x' count keeps the Z_2 whose f(Z_2) is a (q^2-1)-th power, and
-    # over GF(q^2) those must be the q supersingular values: one f-key
-    # moved off 1 there fails the count, while the same move over
+    # over GF(q^2) those must be the q supersingular values: 1 + Z of
+    # one such value moved by one generator step there, which moves
+    # log f(Z) by q - 1, fails the count, while the same move over
     # GF(q^4) goes unchecked
     import numpy as np
     from drintower import tower
-    real = tower._z_forward
+    real = tower._one_plus
 
-    def moved(q, field, z):
-        keys = real(q, field, z)
+    def moved(field, z):
+        w = real(field, z)
         if field.size == q * q:
-            keys[np.flatnonzero(keys == 1)[:1]] += 1
-        return keys
+            exp, log = field.tables()
+            i = np.flatnonzero(
+                tower.x0_supersingular_mask(q, field, [z])
+                & (z != field.p - 1))[:1]
+            w[i] = exp[(log[w[i]] + 1) % (field.size - 1)]
+        return w
 
     for q in (2, 3):
         k1 = make_field(q, 2)
         assert tower.count(XPRIME, q, n, k1) == (q * q - 1) * q ** (n - 1)
         with monkeypatch.context() as patched:
-            patched.setattr(tower, "_z_forward", moved)
+            patched.setattr(tower, "_one_plus", moved)
             for supersingular in (False, True):
                 with pytest.raises(RuntimeError, match="lifting Z"):
                     tower.count(XPRIME, q, n, k1, supersingular)
             tower.count(XPRIME, q, n, make_field(q, 4))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_lifting_mask_matches_f_key_oracle(q):
+    # the log test of _lifting_z against f(Z) = Z(1+Z)^(q-1) built and
+    # looked up, f != 0 and log f % (q^2-1) == 0, over every Z of every
+    # GF(q^(2m)) of at most 2^16 elements, and of GF(2^20) at q = 4
+    import numpy as np
+    from drintower import tower
+    p, r = prime_power(q)
+    sizes = [2 * r * m for m in range(1, 17) if q ** (2 * m) <= 2**16]
+    if q == 4:
+        sizes.append(20)
+    for size in sizes:
+        field = make_field(p, size)
+        z = np.arange(field.size, dtype=np.int64)
+        f = tower._z_forward(q, field, z)
+        oracle = (f != 0) & (field.tables()[1][f] % (q * q - 1) == 0)
+        assert np.array_equal(tower._lifting_z(q, field, z), oracle), \
+            (q, size)
 
 
 def _corrupt_bucket_member(monkeypatch, q, field, variant, value=None):
@@ -714,19 +741,20 @@ def test_xprime_count_keeps_no_edges():
 
 @pytest.mark.parametrize("change", ["drop", "repeat"])
 def test_xprime_edges_off_their_count_raise(monkeypatch, change):
-    # the Hermitian edge count is checked, not trusted: a dropped edge
-    # block ends short of it, a repeated one overruns it
+    # the Hermitian edge count is checked, not trusted: a dropped block
+    # of x ends short of it, a repeated one overruns it; the first block
+    # holds x = 1, which has solutions over GF(2^8)
     from drintower import finite_field, tower
     monkeypatch.setattr(finite_field, "_CHUNK", 16)
-    real = tower._solvable_blocks
+    real = tower._chunks
 
-    def blocks(q, field, solver):
-        out = list(real(q, field, solver))
-        i = next(i for i, (x, z) in enumerate(out) if len(x))
-        return iter(out[:i] + out[i + 1:] if change == "drop"
-                    else out[:i + 1] + out[i:])
+    def chunks(length):
+        out = list(real(length))
+        if length == 2**8 - 1:  # the nonzero x of the edge solve
+            out = out[1:] if change == "drop" else out[:1] + out
+        return iter(out)
 
-    monkeypatch.setattr(tower, "_solvable_blocks", blocks)
+    monkeypatch.setattr(tower, "_chunks", chunks)
     for n in (2, 3):
         with pytest.raises(RuntimeError, match="level-2 edges"):
             columns(XPRIME, 2, n, make_field(2, 8))
